@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-fix race bench verify bench-baseline bench-diff smoke chaos soak
+.PHONY: all build test e2e-quick vet lint lint-fix race bench verify bench-baseline bench-diff smoke chaos soak
 
 all: verify
 
@@ -33,6 +33,12 @@ lint-fix:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark's quick mode: one round of every workload with
+# its output checks, proving the public API the benchmark calls still
+# works. _e2ebench is its own module, so ./... never reaches it.
+e2e-quick:
+	cd _e2ebench && $(GO) test -count=1 ./...
 
 # Every goroutine-spawning package plus its direct drivers runs under
 # the race detector on every verify: the protocol server (hivenet), the
@@ -78,7 +84,7 @@ soak:
 	$(GO) test -tags soak -race -run 'TestSoak' -v ./internal/loadgen/
 
 # The tier-1 gate: what CI and pre-commit runs.
-verify: build vet lint test race chaos smoke bench-diff
+verify: build vet lint test e2e-quick race chaos smoke bench-diff
 
 # Benchmarks double as the reproduction report (paper figures as custom
 # metrics) and as the observability-overhead check (BenchmarkDESLoop*).

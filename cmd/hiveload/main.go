@@ -276,10 +276,10 @@ func bootLocal(spec loadgen.LoadSpec, n int) (servers []*hivenet.Server, addrs, 
 		MaxArchiveRecords:  spec.Server.MaxArchiveRecords,
 		UploadStall:        time.Duration(spec.Server.StallMS * float64(time.Millisecond)),
 	}
-	var listeners []net.Listener
+	var dashboards []*http.Server
 	closeAll = func() {
-		for _, ln := range listeners {
-			_ = ln.Close()
+		for _, hs := range dashboards {
+			_ = hs.Close()
 		}
 		for _, s := range servers {
 			_ = s.Close()
@@ -299,8 +299,9 @@ func bootLocal(spec loadgen.LoadSpec, n int) (servers []*hivenet.Server, addrs, 
 			closeAll()
 			return nil, nil, nil, nil, lerr
 		}
-		listeners = append(listeners, ln)
-		go func() { _ = http.Serve(ln, hivenet.NewDashboard(s)) }()
+		hs := hivenet.NewDashboard(s).HTTPServer()
+		dashboards = append(dashboards, hs)
+		go func() { _ = hs.Serve(ln) }()
 		dashes = append(dashes, "http://"+ln.Addr().String())
 	}
 	return servers, addrs, dashes, closeAll, nil

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"time"
 
@@ -112,9 +111,11 @@ func serve(args []string) error {
 		if *sloPath != "" {
 			dash.SetSLO(spec)
 		}
+		hs := dash.HTTPServer()
+		hs.Addr = *httpAddr
 		go func() {
 			log.Printf("dashboard on http://%s/", *httpAddr)
-			if err := http.ListenAndServe(*httpAddr, dash); err != nil {
+			if err := hs.ListenAndServe(); err != nil {
 				log.Printf("dashboard: %v", err)
 			}
 		}()

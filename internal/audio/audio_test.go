@@ -78,17 +78,21 @@ func spectralProfile(t *testing.T, clip []float64) []float64 {
 func TestQueenPresentHumPeak(t *testing.T) {
 	s, _ := NewSynth(shortCfg())
 	clip := s.Clip(hive.QueenPresent, 0.8)
-	spec, err := dsp.PowerSpectrogram(clip, dsp.PaperSTFT())
+	plan, err := dsp.PlanFor(dsp.PaperSTFT(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := plan.PowerFrames(clip)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Time-average spectrum peak must sit near the ~250 Hz fundamental
 	// (bin = f * 2048 / 22050 ≈ 23) or one of its low harmonics.
 	best, bestV := 0, -1.0
-	for b := 1; b < spec.Rows; b++ {
+	for b := 1; b < spec.Cols; b++ {
 		var sum float64
-		for c := 0; c < spec.Cols; c++ {
-			sum += spec.At(b, c)
+		for f := 0; f < spec.Rows; f++ {
+			sum += spec.At(f, b)
 		}
 		if sum > bestV {
 			best, bestV = b, sum

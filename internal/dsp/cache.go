@@ -1,126 +1,42 @@
 package dsp
 
-import (
-	"math"
-	"math/cmplx"
-	"sync"
-)
+import "sync"
 
-// This file memoizes the shape-invariant precomputations of the
-// pipeline — FFT twiddle factors, Hann windows, mel filterbanks — so
-// repeated queendetect calls with the paper's fixed front end (FFT
-// 2048, hop 512, 128 mels at 22 050 Hz) stop rebuilding them on every
-// clip. All cached values are built once, stored immutable, and shared
-// read-only across goroutines; sync.Map gives the lock-free read path
-// the parallel spectrogram workers hit.
-//
-// Determinism note: the cached twiddle tables are generated with the
-// exact incremental recurrence (w *= wStep from w = 1) the butterflies
-// used inline before caching existed. Regenerating them with per-index
-// cmplx.Exp calls would perturb the low bits of the transforms and
-// break the byte-identical-output contract, so don't.
+// This file holds the package's one memo: a Plan per front-end shape,
+// so repeated queendetect calls with the paper's fixed front end (FFT
+// 2048, hop 512, 128 mels at 22 050 Hz) stop rebuilding its tables on
+// every clip. Plans are built once, immutable, and shared read-only
+// across goroutines; sync.Map gives the lock-free read path the
+// parallel spectrogram workers hit.
 
-var (
-	twiddleCache sync.Map // twiddleKey -> [][]complex128
-	rfftTwCache  sync.Map // int -> []complex128
-	hannCache    sync.Map // int -> []float64
-	melCache     sync.Map // melKey -> *Matrix
-	planCache    sync.Map // planKey -> *Plan
-)
+var planCache sync.Map // planKey -> *Plan
 
-// twiddleKey identifies one FFT plan.
-type twiddleKey struct {
-	n       int
-	inverse bool
+// planKey identifies one memoized Plan shape.
+type planKey struct {
+	fftSize, hop, nMels, sampleRate int
 }
 
-// melKey identifies one filterbank shape.
-type melKey struct {
-	nMels, fftSize, sampleRate int
-}
-
-// ResetCaches drops every memoized table and plan. Benchmarks use it to
-// measure the cold path; production code never needs it.
+// ResetCaches drops the plan memo. Benchmarks use it to measure the
+// cold path; production code never needs it.
 func ResetCaches() {
-	twiddleCache = sync.Map{}
-	rfftTwCache = sync.Map{}
-	hannCache = sync.Map{}
-	melCache = sync.Map{}
 	planCache = sync.Map{}
 }
 
-// twiddles returns the per-stage twiddle-factor tables of an n-point
-// transform: tables[s][k] is the k-th factor of the stage with
-// butterfly size 2<<s. n must be a power of two >= 2.
-func twiddles(n int, inverse bool) [][]complex128 {
-	key := twiddleKey{n: n, inverse: inverse}
-	if v, ok := twiddleCache.Load(key); ok {
-		return v.([][]complex128)
+// PlanFor returns the shared memoized Plan for a shape, building it on
+// first use. nMels == 0 gives a power-spectrogram-only plan (sampleRate
+// is then ignored); nMels > 0 adds the mel filterbank and requires a
+// positive sample rate. The same instance is returned to every caller;
+// Plans are immutable and concurrency-safe, so the whole process
+// amortizes one precomputation per shape.
+func PlanFor(cfg STFTConfig, nMels, sampleRate int) (*Plan, error) {
+	key := planKey{fftSize: cfg.FFTSize, hop: cfg.Hop, nMels: nMels, sampleRate: sampleRate}
+	if v, ok := planCache.Load(key); ok {
+		return v.(*Plan), nil
 	}
-	var tables [][]complex128
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		angle := -2 * math.Pi / float64(size)
-		if inverse {
-			angle = -angle
-		}
-		wStep := cmplx.Exp(complex(0, angle))
-		t := make([]complex128, half)
-		w := complex(1, 0)
-		for k := 0; k < half; k++ {
-			t[k] = w
-			w *= wStep
-		}
-		tables = append(tables, t)
-	}
-	v, _ := twiddleCache.LoadOrStore(key, tables)
-	return v.([][]complex128)
-}
-
-// rfftTwiddles returns the untangling factors of an n-point packed real
-// FFT: tw[k] = exp(-2*pi*i*k/n) for k = 0..n/4. Built with the same
-// incremental recurrence as the butterfly tables so cold and warm
-// builds are bit-identical.
-func rfftTwiddles(n int) []complex128 {
-	if v, ok := rfftTwCache.Load(n); ok {
-		return v.([]complex128)
-	}
-	wStep := cmplx.Exp(complex(0, -2*math.Pi/float64(n)))
-	t := make([]complex128, n/4+1)
-	w := complex(1, 0)
-	for k := range t {
-		t[k] = w
-		w *= wStep
-	}
-	v, _ := rfftTwCache.LoadOrStore(n, t)
-	return v.([]complex128)
-}
-
-// hannWindow returns the shared n-point Hann window. Callers must not
-// mutate it; the public HannWindow copies it out.
-func hannWindow(n int) []float64 {
-	if v, ok := hannCache.Load(n); ok {
-		return v.([]float64)
-	}
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n)))
-	}
-	v, _ := hannCache.LoadOrStore(n, w)
-	return v.([]float64)
-}
-
-// melFilterbank returns the shared filterbank for the shape. Callers
-// must not mutate it; the public MelFilterbank copies it out.
-func melFilterbank(nMels, fftSize, sampleRate int) (*Matrix, error) {
-	key := melKey{nMels: nMels, fftSize: fftSize, sampleRate: sampleRate}
-	if v, ok := melCache.Load(key); ok {
-		return v.(*Matrix), nil
-	}
-	fb, err := buildMelFilterbank(nMels, fftSize, sampleRate)
+	p, err := newPlan(cfg, nMels, sampleRate)
 	if err != nil {
 		return nil, err
 	}
-	v, _ := melCache.LoadOrStore(key, fb)
-	return v.(*Matrix), nil
+	v, _ := planCache.LoadOrStore(key, p)
+	return v.(*Plan), nil
 }

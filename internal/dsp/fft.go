@@ -1,7 +1,12 @@
 // Package dsp implements the signal-processing pipeline of Section V:
-// radix-2 FFT, Hann-windowed STFT, power spectrograms, the mel filterbank
-// (FFT window 2048, hop 512, 128 mel bands at 22 050 Hz) and the bilinear
-// resize that converts spectrograms into the CNN's square inputs.
+// Hann-windowed STFT through a packed real FFT, power spectrograms, the
+// mel filterbank (FFT window 2048, hop 512, 128 mel bands at 22 050 Hz)
+// and the bilinear resize that converts spectrograms into the CNN's
+// square inputs.
+//
+// Every per-shape precomputation — window, butterfly tables, real-FFT
+// untangling table, sparse filterbank — lives on a Plan, and PlanFor's
+// memo is the package's only cache.
 //
 // Everything is implemented from scratch on float64/complex128; there is
 // no external numerics dependency.
@@ -10,21 +15,62 @@ package dsp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"math/cmplx"
 )
 
-// FFT computes the in-place radix-2 decimation-in-time fast Fourier
-// transform of x. The length must be a power of two.
-func FFT(x []complex128) error {
-	return fft(x, false)
+// Determinism note: every twiddle table is generated with the exact
+// incremental recurrence (w *= wStep from w = 1) the butterflies used
+// inline before tables were precomputed. Regenerating them with
+// per-index cmplx.Exp calls would perturb the low bits of the
+// transforms and break the byte-identical-output contract, so don't.
+
+// twiddleRun returns count successive powers of exp(i*angle), built by
+// the incremental recurrence.
+func twiddleRun(count int, angle float64) []complex128 {
+	wStep := cmplx.Exp(complex(0, angle))
+	t := make([]complex128, count)
+	w := complex(1, 0)
+	for k := range t {
+		t[k] = w
+		w *= wStep
+	}
+	return t
 }
 
-// IFFT computes the inverse FFT in place (including the 1/N scaling).
-func IFFT(x []complex128) error {
-	return fft(x, true)
+// butterflyTables returns the per-stage twiddle tables of an n-point
+// forward transform: tables[s][k] is the k-th factor of the stage with
+// butterfly size 2<<s. n must be a power of two.
+func butterflyTables(n int) [][]complex128 {
+	var tables [][]complex128
+	for size := 2; size <= n; size <<= 1 {
+		tables = append(tables, twiddleRun(size>>1, -2*math.Pi/float64(size)))
+	}
+	return tables
 }
 
-func fft(x []complex128, inverse bool) error {
+// untangleTable returns the untangling factors of an n-point packed
+// real FFT: tw[k] = exp(-2*pi*i*k/n) for k = 0..n/4.
+func untangleTable(n int) []complex128 {
+	return twiddleRun(n/4+1, -2*math.Pi/float64(n))
+}
+
+// hannWindow returns the n-point periodic Hann window used for STFT
+// analysis.
+func hannWindow(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n)))
+	}
+	return w
+}
+
+// fft computes the in-place radix-2 decimation-in-time fast Fourier
+// transform of x, building its tables on every call. The length must be
+// a power of two. It is the reference the packed real FFT is tested
+// against; the hot path runs butterflies over a Plan's tables instead.
+func fft(x []complex128) error {
 	n := len(x)
 	if n == 0 {
 		return errors.New("dsp: empty FFT input")
@@ -32,6 +78,14 @@ func fft(x []complex128, inverse bool) error {
 	if n&(n-1) != 0 {
 		return errors.New("dsp: FFT length must be a power of two")
 	}
+	butterflies(x, butterflyTables(n))
+	return nil
+}
+
+// butterflies transforms x in place with the per-stage tables of
+// butterflyTables(len(x)).
+func butterflies(x []complex128, stages [][]complex128) {
+	n := len(x)
 	// Bit-reversal permutation.
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := 0; i < n; i++ {
@@ -40,15 +94,10 @@ func fft(x []complex128, inverse bool) error {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	if n == 1 {
-		return nil
-	}
-	// Danielson-Lanczos butterflies over the memoized per-stage twiddle
-	// tables (bit-identical to the former inline w *= wStep recurrence).
-	tw := twiddles(n, inverse)
+	// Danielson-Lanczos butterflies.
 	for s, size := 0, 2; size <= n; s, size = s+1, size<<1 {
 		half := size >> 1
-		t := tw[s]
+		t := stages[s]
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
 				a := x[start+k]
@@ -58,49 +107,39 @@ func fft(x []complex128, inverse bool) error {
 			}
 		}
 	}
-	if inverse {
-		scale := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= scale
-		}
-	}
-	return nil
 }
 
-// RFFT computes the FFT of a real signal and returns the n/2+1
-// non-redundant bins. The input length must be a power of two.
+// RFFTInto computes the FFT of a real signal into dst and returns the
+// n/2+1 non-redundant bins dst[:n/2+1]. The input length must be a
+// power of two and dst must have capacity for the bins. The contents
+// of dst are fully overwritten; no other scratch is used, so a caller
+// looping over frames can reuse one buffer for a zero-allocation
+// steady state. The tables come from the memoized Plan of the size.
 //
-// Unlike a complex transform of the zero-padded signal, RFFT exploits
+// Unlike a complex transform of the widened signal, RFFTInto exploits
 // conjugate symmetry with the packed real-FFT algorithm: the n real
 // samples fold into an n/2-point complex transform plus an O(n)
 // untangling pass, halving the butterfly work. The low-order bits of
-// the result therefore differ from FFT of the widened signal; the
-// agreement is pinned to a tight ulp bound by TestRFFTMatchesFFT.
-func RFFT(x []float64) ([]complex128, error) {
-	return RFFTInto(make([]complex128, len(x)/2+1), x)
+// the result therefore differ from the complex transform; the agreement
+// is pinned to a tight ulp bound by TestRFFTMatchesFFT.
+func RFFTInto(dst []complex128, x []float64) ([]complex128, error) {
+	p, err := PlanFor(STFTConfig{FFTSize: len(x), Hop: len(x)}, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	if cap(dst) < p.bins {
+		return nil, fmt.Errorf("dsp: RFFT destination capacity %d < %d bins", cap(dst), p.bins)
+	}
+	return p.rfft(dst[:p.bins], x), nil
 }
 
-// RFFTInto is the no-alloc variant of RFFT: it computes the transform
-// into dst, which must have capacity for the n/2+1 output bins, and
-// returns dst[:n/2+1]. The contents of dst are fully overwritten; no
-// other scratch is used, so a caller looping over frames can reuse one
-// buffer for a zero-allocation steady state.
-func RFFTInto(dst []complex128, x []float64) ([]complex128, error) {
+// rfft is the packed real FFT of x, whose length is the plan's FFT
+// size, into dst, which has the plan's bin count.
+func (p *Plan) rfft(dst []complex128, x []float64) []complex128 {
 	n := len(x)
-	if n == 0 {
-		return nil, errors.New("dsp: empty FFT input")
-	}
-	if n&(n-1) != 0 {
-		return nil, errors.New("dsp: FFT length must be a power of two")
-	}
-	bins := n/2 + 1
-	if cap(dst) < bins {
-		return nil, fmt.Errorf("dsp: RFFT destination capacity %d < %d bins", cap(dst), bins)
-	}
-	dst = dst[:bins]
 	if n == 1 {
 		dst[0] = complex(x[0], 0)
-		return dst, nil
+		return dst
 	}
 	// Pack adjacent sample pairs into one half-length complex signal:
 	// z[k] = x[2k] + i*x[2k+1].
@@ -109,9 +148,7 @@ func RFFTInto(dst []complex128, x []float64) ([]complex128, error) {
 	for k := 0; k < n2; k++ {
 		z[k] = complex(x[2*k], x[2*k+1])
 	}
-	if err := fft(z, false); err != nil {
-		return nil, err
-	}
+	butterflies(z, p.stages)
 	// Untangle the packed transform Z into the real signal's spectrum:
 	//   X[k] = (Z[k] + conj(Z[n2-k]))/2 - i/2 * w^k * (Z[k] - conj(Z[n2-k]))
 	// with w = exp(-2*pi*i/n) and Z[n2] === Z[0]. Bins 0 and n/2 are the
@@ -120,7 +157,7 @@ func RFFTInto(dst []complex128, x []float64) ([]complex128, error) {
 	z0 := z[0]
 	dst[n2] = complex(real(z0)-imag(z0), 0)
 	dst[0] = complex(real(z0)+imag(z0), 0)
-	tw := rfftTwiddles(n)
+	tw := p.untangle
 	for k := 1; k <= n2/2; k++ {
 		j := n2 - k
 		a, b := z[k], z[j]
@@ -134,20 +171,5 @@ func RFFTInto(dst []complex128, x []float64) ([]complex128, error) {
 		// mirrored bin reuses m with conjugated signs.
 		dst[j] = complex(0.5*(sumR-mI), 0.5*(-sumI-mR))
 	}
-	return dst, nil
-}
-
-// NextPow2 returns the smallest power of two >= n (minimum 1).
-func NextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
-// HannWindow returns the n-point periodic Hann window used for STFT
-// analysis. The returned slice is the caller's to mutate; the shared
-// memoized copy stays internal.
-func HannWindow(n int) []float64 {
-	return append([]float64(nil), hannWindow(n)...)
+	return dst
 }

@@ -11,10 +11,10 @@ import (
 )
 
 func TestFFTErrors(t *testing.T) {
-	if err := FFT(nil); err == nil {
+	if err := fft(nil); err == nil {
 		t.Error("empty FFT accepted")
 	}
-	if err := FFT(make([]complex128, 12)); err == nil {
+	if err := fft(make([]complex128, 12)); err == nil {
 		t.Error("non-power-of-two FFT accepted")
 	}
 }
@@ -23,7 +23,7 @@ func TestFFTImpulse(t *testing.T) {
 	// FFT of a unit impulse is all ones.
 	x := make([]complex128, 16)
 	x[0] = 1
-	if err := FFT(x); err != nil {
+	if err := fft(x); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range x {
@@ -40,7 +40,7 @@ func TestFFTSingleTone(t *testing.T) {
 	for i := range x {
 		x[i] = complex(math.Cos(2*math.Pi*float64(k*i)/n), 0)
 	}
-	if err := FFT(x); err != nil {
+	if err := fft(x); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range x {
@@ -55,29 +55,8 @@ func TestFFTSingleTone(t *testing.T) {
 	}
 }
 
-func TestFFTInverseRoundTrip(t *testing.T) {
-	r := rng.New(5)
-	x := make([]complex128, 128)
-	orig := make([]complex128, 128)
-	for i := range x {
-		x[i] = complex(r.Norm(), r.Norm())
-		orig[i] = x[i]
-	}
-	if err := FFT(x); err != nil {
-		t.Fatal(err)
-	}
-	if err := IFFT(x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if cmplx.Abs(x[i]-orig[i]) > 1e-10 {
-			t.Fatalf("round trip differs at %d: %v vs %v", i, x[i], orig[i])
-		}
-	}
-}
-
 func TestFFTLinearityProperty(t *testing.T) {
-	// FFT(a*x + b*y) == a*FFT(x) + b*FFT(y)
+	// fft(a*x + b*y) == a*fft(x) + b*fft(y)
 	f := func(seed uint64, aRaw, bRaw int8) bool {
 		const n = 32
 		a := complex(float64(aRaw)/16, 0)
@@ -91,7 +70,7 @@ func TestFFTLinearityProperty(t *testing.T) {
 			y[i] = complex(r.Norm(), r.Norm())
 			combo[i] = a*x[i] + b*y[i]
 		}
-		if FFT(x) != nil || FFT(y) != nil || FFT(combo) != nil {
+		if fft(x) != nil || fft(y) != nil || fft(combo) != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -117,7 +96,7 @@ func TestParsevalProperty(t *testing.T) {
 			x[i] = complex(r.Norm(), 0)
 			timeEnergy += real(x[i]) * real(x[i])
 		}
-		if FFT(x) != nil {
+		if fft(x) != nil {
 			return false
 		}
 		var freqEnergy float64
@@ -136,7 +115,7 @@ func TestRFFT(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * 3 * float64(i) / 32)
 	}
-	bins, err := RFFT(x)
+	bins, err := rfftFresh(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +127,14 @@ func TestRFFT(t *testing.T) {
 	}
 }
 
+// rfftFresh is the packed real FFT of x into a fresh destination.
+func rfftFresh(x []float64) ([]complex128, error) {
+	return RFFTInto(make([]complex128, len(x)/2+1), x)
+}
+
 // rfftUlpBound is the packed real FFT's agreement contract with the
-// complex transform: every bin of RFFT(x) must lie within this many
-// ulps of FFT(widen(x)) — the ulp taken at the spectrum's peak
+// complex transform: every packed bin of x must lie within this many
+// ulps of fft(widen(x)) — the ulp taken at the spectrum's peak
 // magnitude, since FFT rounding error is relative to the whole
 // transform's scale, not to individual (possibly tiny) bins. Both
 // transforms build twiddles by incremental recurrence (the price of
@@ -166,7 +150,7 @@ const rfftUlpBound = 512
 // further checks.
 func checkRFFTAgainstFFT(t *testing.T, x []float64) []complex128 {
 	t.Helper()
-	got, err := RFFT(x)
+	got, err := rfftFresh(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +158,7 @@ func checkRFFTAgainstFFT(t *testing.T, x []float64) []complex128 {
 	for i, v := range x {
 		ref[i] = complex(v, 0)
 	}
-	if err := FFT(ref); err != nil {
+	if err := fft(ref); err != nil {
 		t.Fatal(err)
 	}
 	scale := 0.0
@@ -212,7 +196,7 @@ func TestRFFTMatchesFFT(t *testing.T) {
 		}
 	}
 	// Degenerate single-sample transform.
-	got, err := RFFT([]float64{3.25})
+	got, err := rfftFresh([]float64{3.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +221,7 @@ func TestRFFTConjugateSymmetryBins(t *testing.T) {
 			alt -= x[i]
 		}
 	}
-	bins, err := RFFT(x)
+	bins, err := rfftFresh(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +237,7 @@ func TestRFFTConjugateSymmetryBins(t *testing.T) {
 }
 
 // TestRFFTInto pins the no-alloc contract: a reused destination buffer
-// yields bit-identical results to a fresh RFFT, and the steady-state
+// yields bit-identical results to a fresh destination, and the steady-state
 // loop performs zero allocations.
 func TestRFFTInto(t *testing.T) {
 	r := rng.New(13)
@@ -261,7 +245,7 @@ func TestRFFTInto(t *testing.T) {
 	for i := range x {
 		x[i] = r.Norm()
 	}
-	want, err := RFFT(x)
+	want, err := rfftFresh(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,17 +328,12 @@ func FuzzRFFT(f *testing.F) {
 	})
 }
 
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 17: 32, 2048: 2048, 2049: 4096}
-	for in, want := range cases {
-		if got := NextPow2(in); got != want {
-			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestHannWindow(t *testing.T) {
-	w := HannWindow(8)
+	p, err := PlanFor(STFTConfig{FFTSize: 8, Hop: 8}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := p.window
 	if w[0] != 0 {
 		t.Fatalf("Hann[0] = %v, want 0", w[0])
 	}

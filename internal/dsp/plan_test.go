@@ -21,55 +21,56 @@ func planTestClip(seed uint64, samples int) []float64 {
 }
 
 func TestPlanErrors(t *testing.T) {
-	if _, err := NewPlan(STFTConfig{FFTSize: 100, Hop: 32}, 0, 0); err == nil {
+	if _, err := newPlan(STFTConfig{FFTSize: 100, Hop: 32}, 0, 0); err == nil {
 		t.Error("non-power-of-two FFT size accepted")
 	}
-	if _, err := NewPlan(STFTConfig{FFTSize: 256, Hop: 0}, 0, 0); err == nil {
+	if _, err := newPlan(STFTConfig{FFTSize: 256, Hop: 0}, 0, 0); err == nil {
 		t.Error("zero hop accepted")
 	}
-	if _, err := NewPlan(STFTConfig{FFTSize: 256, Hop: 64}, -1, 8000); err == nil {
+	if _, err := newPlan(STFTConfig{FFTSize: 256, Hop: 64}, -1, 8000); err == nil {
 		t.Error("negative mel count accepted")
 	}
-	if _, err := NewPlan(STFTConfig{FFTSize: 256, Hop: 64}, 16, 0); err == nil {
+	if _, err := newPlan(STFTConfig{FFTSize: 256, Hop: 64}, 16, 0); err == nil {
 		t.Error("mel plan with zero sample rate accepted")
 	}
-	p, err := NewPlan(STFTConfig{FFTSize: 256, Hop: 64}, 0, 0)
+	p, err := newPlan(STFTConfig{FFTSize: 256, Hop: 64}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.MelSpectrogram(planTestClip(1, 1024)); err == nil {
 		t.Error("mel spectrogram on a power-only plan accepted")
 	}
-	if _, err := p.PowerSpectrogram(make([]float64, 100)); err == nil {
+	if _, err := p.PowerFrames(make([]float64, 100)); err == nil {
 		t.Error("too-short signal accepted")
 	}
 }
 
 func TestPlanFrames(t *testing.T) {
-	p, err := NewPlan(STFTConfig{FFTSize: 256, Hop: 64}, 0, 0)
+	p, err := newPlan(STFTConfig{FFTSize: 256, Hop: 64}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := map[int]int{0: 0, 255: 0, 256: 1, 319: 1, 320: 2, 256 + 64*9: 10}
 	for sigLen, want := range cases {
-		if got := p.Frames(sigLen); got != want {
-			t.Errorf("Frames(%d) = %d, want %d", sigLen, got, want)
+		if got := p.frameCount(sigLen); got != want {
+			t.Errorf("frameCount(%d) = %d, want %d", sigLen, got, want)
 		}
-	}
-	if p.Config().FFTSize != 256 || p.NMels() != 0 {
-		t.Errorf("plan shape accessors: cfg=%+v nMels=%d", p.Config(), p.NMels())
 	}
 }
 
-// TestPlanMatchesPackageFunctions pins the compatibility contract: the
-// package-level PowerSpectrogram and MelSpectrogram now route through
-// the memoized Plan, and an independently constructed Plan produces
-// byte-identical matrices to both.
+// TestPlanMatchesPackageFunctions pins the memo contract: the
+// package-level MelSpectrogram and PlanFor route through the memoized
+// Plan, and an independently constructed Plan produces byte-identical
+// matrices to both.
 func TestPlanMatchesPackageFunctions(t *testing.T) {
 	cfg := STFTConfig{FFTSize: 512, Hop: 128}
 	clip := planTestClip(21, 4096)
 
-	wantPow, err := PowerSpectrogram(clip, cfg)
+	powPlan, err := PlanFor(cfg, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPow, err := powPlan.PowerFrames(clip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func TestPlanMatchesPackageFunctions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan, err := NewPlan(cfg, 32, 16000)
+	plan, err := newPlan(cfg, 32, 16000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPow, err := plan.PowerSpectrogram(clip)
+	gotPow, err := plan.PowerFrames(clip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +96,31 @@ func TestPlanMatchesPackageFunctions(t *testing.T) {
 }
 
 // TestPowerFramesIsTranspose checks the frame-major layout holds
-// exactly the same values as the bin-major spectrogram, transposed.
+// exactly the values of the bin-major |STFT|^2 spectrogram, transposed.
+// The bin-major reference is built here, one column per frame, from
+// the packed real FFT of the Hann-windowed frame.
 func TestPowerFramesIsTranspose(t *testing.T) {
 	cfg := STFTConfig{FFTSize: 256, Hop: 64}
 	clip := planTestClip(22, 2048)
-	plan, err := NewPlan(cfg, 0, 0)
+	plan, err := newPlan(cfg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binMajor, err := plan.PowerSpectrogram(clip)
-	if err != nil {
-		t.Fatal(err)
+	frames := 1 + (len(clip)-cfg.FFTSize)/cfg.Hop
+	binMajor := NewMatrix(cfg.FFTSize/2+1, frames)
+	frame := make([]float64, cfg.FFTSize)
+	window := hannWindow(cfg.FFTSize)
+	for f := 0; f < frames; f++ {
+		for i := range frame {
+			frame[i] = clip[f*cfg.Hop+i] * window[i]
+		}
+		spec, err := rfftFresh(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, v := range spec {
+			binMajor.Data[b*frames+f] = real(v)*real(v) + imag(v)*imag(v)
+		}
 	}
 	frameMajor, err := plan.PowerFrames(clip)
 	if err != nil {
@@ -126,7 +141,7 @@ func TestPowerFramesIsTranspose(t *testing.T) {
 
 // TestSparseBankMatchesDense is the filterbank-equivalence property the
 // CSR projection ships under: projecting the plan's own power
-// spectrogram through the dense memoized filterbank — skipping exact
+// spectrogram through the dense filterbank — skipping exact
 // zeros, as the legacy loop did — must reproduce the fused sparse mel
 // output bit for bit.
 func TestSparseBankMatchesDense(t *testing.T) {
@@ -141,7 +156,7 @@ func TestSparseBankMatchesDense(t *testing.T) {
 		// CSR build represents as zero-length spans.
 		{200, 8000, STFTConfig{FFTSize: 256, Hop: 64}},
 	} {
-		plan, err := NewPlan(tc.cfg, tc.nMels, tc.sampleRate)
+		plan, err := newPlan(tc.cfg, tc.nMels, tc.sampleRate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,36 +165,36 @@ func TestSparseBankMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := plan.PowerSpectrogram(clip)
+		spec, err := plan.PowerFrames(clip)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb, err := MelFilterbank(tc.nMels, tc.cfg.FFTSize, tc.sampleRate)
+		fb, err := buildMelFilterbank(tc.nMels, tc.cfg.FFTSize, tc.sampleRate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := NewMatrix(tc.nMels, spec.Cols)
+		want := NewMatrix(tc.nMels, spec.Rows)
 		for m := 0; m < tc.nMels; m++ {
-			for f := 0; f < spec.Cols; f++ {
+			for f := 0; f < spec.Rows; f++ {
 				var sum float64
 				for b := 0; b < fb.Cols; b++ {
 					if w := fb.At(m, b); w != 0 {
-						sum += w * spec.At(b, f)
+						sum += w * spec.At(f, b)
 					}
 				}
-				want.Set(m, f, math.Log1p(sum))
+				want.Data[m*want.Cols+f] = math.Log1p(sum)
 			}
 		}
 		mustEqualMatrix(t, fmt.Sprintf("mel %d bands", tc.nMels), got, want)
 	}
 }
 
-// TestMelSpectrogramIntoReuse checks the arena contract of the Into
-// variants: a destination reused across clips (including one of a
+// TestMelSpectrogramIntoReuse checks the arena contract of
+// MelSpectrogramInto: a destination reused across clips (including one of a
 // different length) always matches a fresh computation, with zero
 // steady-state allocations beyond the matrix header bookkeeping.
 func TestMelSpectrogramIntoReuse(t *testing.T) {
-	plan, err := NewPlan(STFTConfig{FFTSize: 512, Hop: 128}, 40, 16000)
+	plan, err := newPlan(STFTConfig{FFTSize: 512, Hop: 128}, 40, 16000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,24 +210,6 @@ func TestMelSpectrogramIntoReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqualMatrix(t, fmt.Sprintf("clip %d", i), dst, fresh)
-	}
-
-	powPlan, err := NewPlan(STFTConfig{FFTSize: 256, Hop: 64}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pow *Matrix
-	for i, samples := range []int{2048, 1024, 2048} {
-		clip := planTestClip(uint64(40+i), samples)
-		fresh, err := powPlan.PowerFrames(clip)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pow, err = powPlan.PowerFramesInto(pow, clip)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualMatrix(t, fmt.Sprintf("power clip %d", i), pow, fresh)
 	}
 }
 
@@ -260,7 +257,7 @@ func TestPlanForMemoizes(t *testing.T) {
 // `make race` this doubles as the data-race proof for the pooled
 // scratch arenas.
 func TestPlanConcurrentReuse(t *testing.T) {
-	plan, err := NewPlan(STFTConfig{FFTSize: 512, Hop: 128}, 40, 16000)
+	plan, err := newPlan(STFTConfig{FFTSize: 512, Hop: 128}, 40, 16000)
 	if err != nil {
 		t.Fatal(err)
 	}

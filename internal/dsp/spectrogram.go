@@ -19,9 +19,6 @@ func NewMatrix(rows, cols int) *Matrix {
 // At returns the element at (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
-// Set stores v at (r, c).
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
 // MinMax returns the smallest and largest elements.
 func (m *Matrix) MinMax() (min, max float64) {
 	if len(m.Data) == 0 {
@@ -68,55 +65,34 @@ type STFTConfig struct {
 // short-time Fourier transform columns is 512".
 func PaperSTFT() STFTConfig { return STFTConfig{FFTSize: 2048, Hop: 512} }
 
-// PowerSpectrogram computes |STFT|^2 of the signal with a Hann window.
-// The result has FFTSize/2+1 rows (frequency bins) and one column per
-// frame; signals shorter than one window are an error. The computation
-// goes through the shared memoized Plan for the shape — packed real
-// FFT, pooled scratch arenas — so repeated calls with the paper's fixed
-// front end pay no precomputation.
-func PowerSpectrogram(signal []float64, cfg STFTConfig) (*Matrix, error) {
-	p, err := PlanFor(cfg, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	return p.PowerSpectrogram(signal)
-}
+// hzToMel converts frequency to the HTK mel scale.
+func hzToMel(hz float64) float64 { return 2595 * math.Log10(1+hz/700) }
 
-// HzToMel converts frequency to the HTK mel scale.
-func HzToMel(hz float64) float64 { return 2595 * math.Log10(1+hz/700) }
+// melToHz converts the HTK mel scale back to frequency.
+func melToHz(mel float64) float64 { return 700 * (math.Pow(10, mel/2595) - 1) }
 
-// MelToHz converts the HTK mel scale back to frequency.
-func MelToHz(mel float64) float64 { return 700 * (math.Pow(10, mel/2595) - 1) }
-
-// MelFilterbank builds nMels triangular filters over FFT bins for the
-// given sample rate, spanning 0 Hz to Nyquist. The returned matrix is
-// nMels x (fftSize/2+1); each row sums the power bins of one mel band.
-// The build is memoized by shape; the caller gets a private copy.
-func MelFilterbank(nMels, fftSize, sampleRate int) (*Matrix, error) {
-	fb, err := melFilterbank(nMels, fftSize, sampleRate)
-	if err != nil {
-		return nil, err
-	}
-	return &Matrix{Rows: fb.Rows, Cols: fb.Cols, Data: append([]float64(nil), fb.Data...)}, nil
-}
-
-// buildMelFilterbank is the uncached construction behind MelFilterbank.
+// buildMelFilterbank builds nMels triangular filters over FFT bins for
+// the given sample rate, spanning 0 Hz to Nyquist. The returned matrix
+// is nMels x (fftSize/2+1); each row sums the power bins of one mel
+// band. Plans keep it in sparse form; the dense matrix is the oracle
+// the sparse projection is tested against.
 func buildMelFilterbank(nMels, fftSize, sampleRate int) (*Matrix, error) {
 	if nMels <= 0 || fftSize <= 0 || sampleRate <= 0 {
 		return nil, errors.New("dsp: invalid filterbank shape")
 	}
 	bins := fftSize/2 + 1
-	maxMel := HzToMel(float64(sampleRate) / 2)
+	maxMel := hzToMel(float64(sampleRate) / 2)
 	// nMels+2 edge points define nMels triangles.
 	edges := make([]float64, nMels+2)
 	for i := range edges {
 		mel := maxMel * float64(i) / float64(nMels+1)
-		edges[i] = MelToHz(mel) * float64(fftSize) / float64(sampleRate)
+		edges[i] = melToHz(mel) * float64(fftSize) / float64(sampleRate)
 	}
 	fb := NewMatrix(nMels, bins)
 	for m := 0; m < nMels; m++ {
 		lo, center, hi := edges[m], edges[m+1], edges[m+2]
-		for b := 0; b < bins; b++ {
+		row := fb.Data[m*bins : (m+1)*bins]
+		for b := range row {
 			f := float64(b)
 			var w float64
 			switch {
@@ -131,7 +107,7 @@ func buildMelFilterbank(nMels, fftSize, sampleRate int) (*Matrix, error) {
 					w = (hi - f) / (hi - center)
 				}
 			}
-			fb.Set(m, b, w)
+			row[b] = w
 		}
 	}
 	return fb, nil

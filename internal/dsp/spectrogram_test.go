@@ -17,29 +17,28 @@ func tone(freq float64, sr, n int) []float64 {
 
 func TestPowerSpectrogramShape(t *testing.T) {
 	sig := tone(440, 22050, 22050) // 1 s
-	cfg := PaperSTFT()
-	spec, err := PowerSpectrogram(sig, cfg)
+	spec, err := powerFrames(sig, PaperSTFT())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantFrames := 1 + (22050-2048)/512
-	if spec.Rows != 1025 || spec.Cols != wantFrames {
-		t.Fatalf("shape = %dx%d, want 1025x%d", spec.Rows, spec.Cols, wantFrames)
+	if spec.Rows != wantFrames || spec.Cols != 1025 {
+		t.Fatalf("shape = %dx%d, want %dx1025", spec.Rows, spec.Cols, wantFrames)
 	}
 }
 
 func TestPowerSpectrogramPeakAtTone(t *testing.T) {
 	const sr = 22050
 	const freq = 440.0
-	spec, err := PowerSpectrogram(tone(freq, sr, sr), PaperSTFT())
+	spec, err := powerFrames(tone(freq, sr, sr), PaperSTFT())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Column 0's argmax bin must be at freq * fftSize / sr.
+	// Frame 0's argmax bin must be at freq * fftSize / sr.
 	wantBin := int(math.Round(freq * 2048 / float64(sr)))
 	best, bestV := 0, -1.0
-	for b := 0; b < spec.Rows; b++ {
-		if v := spec.At(b, 0); v > bestV {
+	for b := 0; b < spec.Cols; b++ {
+		if v := spec.At(0, b); v > bestV {
 			best, bestV = b, v
 		}
 	}
@@ -48,31 +47,41 @@ func TestPowerSpectrogramPeakAtTone(t *testing.T) {
 	}
 }
 
+// powerFrames is the frame-major power spectrogram through the
+// memoized power-only plan of the shape.
+func powerFrames(signal []float64, cfg STFTConfig) (*Matrix, error) {
+	p, err := PlanFor(cfg, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	return p.PowerFrames(signal)
+}
+
 func TestPowerSpectrogramErrors(t *testing.T) {
-	if _, err := PowerSpectrogram(make([]float64, 100), PaperSTFT()); err == nil {
+	if _, err := powerFrames(make([]float64, 100), PaperSTFT()); err == nil {
 		t.Error("short signal accepted")
 	}
-	if _, err := PowerSpectrogram(make([]float64, 4096), STFTConfig{FFTSize: 1000, Hop: 512}); err == nil {
+	if _, err := powerFrames(make([]float64, 4096), STFTConfig{FFTSize: 1000, Hop: 512}); err == nil {
 		t.Error("non-power-of-two FFT size accepted")
 	}
-	if _, err := PowerSpectrogram(make([]float64, 4096), STFTConfig{FFTSize: 2048, Hop: 0}); err == nil {
+	if _, err := powerFrames(make([]float64, 4096), STFTConfig{FFTSize: 2048, Hop: 0}); err == nil {
 		t.Error("zero hop accepted")
 	}
 }
 
 func TestMelScaleRoundTrip(t *testing.T) {
 	for _, hz := range []float64{0, 100, 440, 1000, 8000, 11025} {
-		if got := MelToHz(HzToMel(hz)); math.Abs(got-hz) > 1e-6 {
+		if got := melToHz(hzToMel(hz)); math.Abs(got-hz) > 1e-6 {
 			t.Fatalf("mel round trip %v -> %v", hz, got)
 		}
 	}
-	if HzToMel(1000) < HzToMel(500) {
+	if hzToMel(1000) < hzToMel(500) {
 		t.Fatal("mel scale not monotone")
 	}
 }
 
 func TestMelFilterbankShapeAndCoverage(t *testing.T) {
-	fb, err := MelFilterbank(128, 2048, 22050)
+	fb, err := buildMelFilterbank(128, 2048, 22050)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +105,13 @@ func TestMelFilterbankShapeAndCoverage(t *testing.T) {
 }
 
 func TestMelFilterbankErrors(t *testing.T) {
-	if _, err := MelFilterbank(0, 2048, 22050); err == nil {
+	if _, err := buildMelFilterbank(0, 2048, 22050); err == nil {
 		t.Error("zero mel bands accepted")
 	}
-	if _, err := MelFilterbank(128, 0, 22050); err == nil {
+	if _, err := buildMelFilterbank(128, 0, 22050); err == nil {
 		t.Error("zero FFT size accepted")
 	}
-	if _, err := MelFilterbank(128, 2048, 0); err == nil {
+	if _, err := buildMelFilterbank(128, 2048, 0); err == nil {
 		t.Error("zero sample rate accepted")
 	}
 }

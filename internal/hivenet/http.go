@@ -17,7 +17,17 @@ import (
 
 // This file gives the cloud service a beekeeper-facing HTTP dashboard:
 // JSON endpoints over the server's counters and archive, plus a minimal
-// HTML overview. Mount it with NewDashboard and any net/http server.
+// HTML overview. Mount it with NewDashboard and any net/http server,
+// or serve it from Dashboard.HTTPServer.
+
+// Dashboard connection limits: a client has dashReadHeaderTimeout to
+// send its request headers, and a keep-alive connection idle for
+// dashIdleTimeout is closed, so a silent client cannot pin a
+// connection and its goroutine forever.
+const (
+	dashReadHeaderTimeout = 10 * time.Second
+	dashIdleTimeout       = 2 * time.Minute
+)
 
 // Dashboard serves monitoring endpoints for a running Server.
 type Dashboard struct {
@@ -71,6 +81,17 @@ func NewDashboard(srv *Server) *Dashboard {
 	d.mux.HandleFunc("/api/trace/", d.instrument("trace", apiHeaders(d.handleTrace)))
 	d.mux.HandleFunc("/api/slowest", d.instrument("slowest", apiHeaders(d.handleSlowest)))
 	return d
+}
+
+// HTTPServer returns an http.Server for the dashboard with header-read
+// and idle timeouts. Set Addr and call ListenAndServe, or pass a
+// listener to Serve; Close stops it.
+func (d *Dashboard) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           d,
+		ReadHeaderTimeout: dashReadHeaderTimeout,
+		IdleTimeout:       dashIdleTimeout,
+	}
 }
 
 // apiHeaders pins the response headers every /api/* endpoint must

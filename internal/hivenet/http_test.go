@@ -2,6 +2,8 @@ package hivenet
 
 import (
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -45,6 +47,39 @@ func TestDashboardStats(t *testing.T) {
 	}
 	if body["burst_energy_j"].(float64) <= 0 {
 		t.Fatal("no burst energy reported")
+	}
+}
+
+// TestDashboardHTTPServer serves the dashboard over loopback from its
+// http.Server: both connection timeouts are armed, a request is
+// answered, and Close ends Serve.
+func TestDashboardHTTPServer(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.TrainCorpus = 16
+	hs := NewDashboard(startServer(t, cfg)).HTTPServer()
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("timeouts: read-header %v, idle %v; both must be positive", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get("http://" + ln.Addr().String() + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if err := hs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
 	}
 }
 

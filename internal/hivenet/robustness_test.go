@@ -1,7 +1,9 @@
 package hivenet
 
 import (
+	"encoding/json"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +91,45 @@ func TestServerRejectsSampleCountMismatch(t *testing.T) {
 	}
 	if f.Type != proto.TypeError {
 		t.Fatalf("reply = %v, want error", f.Type)
+	}
+}
+
+// TestServerRejectsWrongSampleRate pins the sample-rate gate: a clip at
+// a rate the detector was not trained at gets a typed error before any
+// features are computed, and is never counted as an upload.
+func TestServerRejectsWrongSampleRate(t *testing.T) {
+	s := startServer(t, DefaultServerConfig())
+	conn := rawDial(t, s.Addr())
+	if err := proto.Encode(conn, proto.TypeHello, proto.Hello{
+		HiveID: "detuned", WakePeriodSeconds: 300, Version: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proto.Decode(conn); err != nil { // welcome
+		t.Fatal(err)
+	}
+	const samples = 16000
+	if err := proto.Encode(conn, proto.TypeAudioUpload, proto.AudioUpload{
+		HiveID: "detuned", Time: time.Now(), SampleRate: 16000, Samples: samples,
+	}, proto.PCMEncode(make([]float64, samples))); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	f, err := proto.Decode(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Type != proto.TypeError {
+		t.Fatalf("reply = %v, want error", f.Type)
+	}
+	var body proto.ErrorBody
+	if err := json.Unmarshal(f.Body, &body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body.Message, "sample rate 16000") {
+		t.Fatalf("error message %q does not name the rejected rate", body.Message)
+	}
+	if got := s.Stats().Uploads; got != 0 {
+		t.Fatalf("uploads = %d after a rejected clip, want 0", got)
 	}
 }
 

@@ -644,10 +644,12 @@ func (s *Server) assignSlot() (int, error) {
 	return 0, errors.New("hivenet: server full (all slots at capacity)")
 }
 
-// infer runs the queen detector on an uploaded clip.
+// infer runs the queen detector on an uploaded clip. Clips must come at
+// the rate the detector was trained at, which also bounds the front-end
+// plans the process memoizes to one.
 func (s *Server) infer(samples []float64, sampleRate int) (bool, float64, error) {
-	if sampleRate <= 0 {
-		return false, 0, errors.New("hivenet: bad sample rate")
+	if sampleRate != audio.SampleRate {
+		return false, 0, fmt.Errorf("hivenet: sample rate %d Hz, detector trained at %d Hz", sampleRate, audio.SampleRate)
 	}
 	queen, err := s.detector.Predict(samples, sampleRate)
 	if err != nil {
