@@ -94,57 +94,44 @@ bench:
 obs-bench:
 	$(GO) test -run xxx -bench 'BenchmarkDESLoop' -benchtime 3000x -count 5 .
 
-# Machine-readable baseline of the observability-overhead benchmarks
-# (DES loop with obs/ledger on and off, ledger append/audit/export).
-# Compare a branch against a committed BENCH_obs.json to spot probe
-# regressions.
-bench-baseline:
-	$(GO) test -json -run xxx -bench 'BenchmarkDESLoop' -benchtime 3000x -count 3 . \
-		> BENCH_obs.json
-	$(GO) test -json -run xxx -bench 'BenchmarkLedger' -benchmem ./internal/ledger/ \
-		>> BENCH_obs.json
-	$(GO) test -json -run xxx -benchmem -count 3 \
-		-bench 'BenchmarkSpanStart|BenchmarkHistogramObserveExemplar' \
-		./internal/obs/ >> BENCH_obs.json
-	$(GO) test -json -run xxx -benchmem -count 3 \
-		-bench 'BenchmarkSweep(Serial|Parallel)$$|BenchmarkMelSpectrogram(Cold|Cached|Plan)$$|BenchmarkRFFT$$|BenchmarkOptimizeParallel|BenchmarkCampaignParallel' \
-		-benchtime 10x . > BENCH_parallel.json
-	$(GO) test -json -run xxx -bench 'BenchmarkLintModule' -benchtime 1x -count 3 \
-		./internal/lint/ > BENCH_lint.json
-	$(GO) test -json -run xxx -benchmem -count 3 \
-		-bench 'BenchmarkLoadgenSchedule|BenchmarkSimulateProbe' \
-		./internal/loadgen/ > BENCH_load.json
-	$(GO) test -json -run xxx -benchmem -count 3 \
-		-bench 'BenchmarkServerHandleUpload' -benchtime 200x \
-		./internal/hivenet/ >> BENCH_load.json
+# The benchmark sets that bench-baseline pins and bench-diff checks, one
+# line each: baseline file, package, the -benchtime of bench-diff's
+# smoke run, benchmark regex, then the go test flags of the baseline
+# run. The regex holds no spaces; the flags take the rest of the line.
+# BENCH_obs.json holds the observability-overhead benchmarks (DES loop
+# with obs/ledger on and off, ledger append/audit/export, spans and
+# exemplars); compare a branch against it to spot probe regressions.
+define BENCH_SETS
+BENCH_obs.json      .                   300x  BenchmarkDESLoop  -benchtime 3000x -count 3
+BENCH_obs.json      ./internal/ledger/  1s    BenchmarkLedger  -benchmem -count 3
+BENCH_obs.json      ./internal/obs/     1s    BenchmarkSpanStart|BenchmarkHistogramObserveExemplar  -benchmem -count 3
+BENCH_parallel.json .                   10x   BenchmarkSweep(Serial|Parallel)$$|BenchmarkMelSpectrogram(Cold|Cached|Plan)$$|BenchmarkRFFT$$|BenchmarkOptimizeParallel|BenchmarkCampaignParallel  -benchmem -count 3 -benchtime 10x
+BENCH_lint.json     ./internal/lint/    1x    BenchmarkLintModule  -benchtime 1x -count 3
+BENCH_load.json     ./internal/loadgen/ 100x  BenchmarkLoadgenSchedule|BenchmarkSimulateProbe  -benchmem -count 3
+BENCH_load.json     ./internal/hivenet/ 50x   BenchmarkServerHandleUpload  -benchmem -count 3 -benchtime 200x
+endef
+export BENCH_SETS
 
-# Perf regression gate: re-run the baseline benchmark sets in smoke
-# mode (short -benchtime keeps verify fast, -count 3 lets benchdiff
-# take the min and shed scheduler noise) and diff against the
-# committed baselines with cmd/benchdiff. The smoke ns/op threshold is
-# generous (-ns-frac 0.75) because smoke runs are noisy; a real
-# regression is usually 2x+. allocs/op stays tight — it is
-# deterministic. See docs/PERFORMANCE.md for the methodology.
+# Re-pin every baseline file from BENCH_SETS.
+bench-baseline:
+	@printf '%s\n' "$$BENCH_SETS" | awk '!seen[$$1]++ {print $$1}' | while read -r file; do : > $$file; done
+	@printf '%s\n' "$$BENCH_SETS" | while read -r file pkg smoke regex flags; do \
+		$(GO) test -json -run xxx -bench "$$regex" $$flags $$pkg >> $$file || exit 1; \
+	done
+
+# Perf regression gate: re-run every set in BENCH_SETS in smoke mode
+# (short -benchtime keeps verify fast, -count 3 lets benchdiff take the
+# min and shed scheduler noise) and diff against the committed
+# baselines with cmd/benchdiff. The smoke ns/op threshold is generous
+# (-ns-frac 0.75) because smoke runs are noisy; a real regression is
+# usually 2x+. allocs/op stays tight — it is deterministic. See
+# docs/PERFORMANCE.md for the methodology.
 bench-diff:
 	@tmp=$$(mktemp -t beesim-bench-XXXXXX.json); \
 	status=1; \
-	{ $(GO) test -json -run xxx -bench 'BenchmarkDESLoop' -benchtime 300x -count 3 . > $$tmp && \
-	  $(GO) test -json -run xxx -bench 'BenchmarkLedger' -benchmem -count 3 ./internal/ledger/ >> $$tmp && \
-	  $(GO) test -json -run xxx -benchmem -count 3 \
-		-bench 'BenchmarkSpanStart|BenchmarkHistogramObserveExemplar' \
-		./internal/obs/ >> $$tmp && \
-	  $(GO) test -json -run xxx -benchmem -count 3 \
-		-bench 'BenchmarkSweep(Serial|Parallel)$$|BenchmarkMelSpectrogram(Cold|Cached|Plan)$$|BenchmarkRFFT$$|BenchmarkOptimizeParallel|BenchmarkCampaignParallel' \
-		-benchtime 10x . >> $$tmp && \
-	  $(GO) test -json -run xxx -bench 'BenchmarkLintModule' -benchtime 1x -count 3 \
-		./internal/lint/ >> $$tmp && \
-	  $(GO) test -json -run xxx -benchmem -count 3 \
-		-bench 'BenchmarkLoadgenSchedule|BenchmarkSimulateProbe' \
-		-benchtime 100x ./internal/loadgen/ >> $$tmp && \
-	  $(GO) test -json -run xxx -benchmem -count 3 \
-		-bench 'BenchmarkServerHandleUpload' -benchtime 50x \
-		./internal/hivenet/ >> $$tmp && \
-	  $(GO) run ./cmd/benchdiff -ns-frac 0.75 \
-		-baseline BENCH_obs.json -baseline BENCH_parallel.json -baseline BENCH_lint.json \
-		-baseline BENCH_load.json $$tmp; } && status=0; \
+	printf '%s\n' "$$BENCH_SETS" | while read -r file pkg smoke regex flags; do \
+		$(GO) test -json -run xxx -bench "$$regex" $$flags -benchtime $$smoke $$pkg >> $$tmp || exit 1; \
+	done && \
+	$(GO) run ./cmd/benchdiff -ns-frac 0.75 \
+		$$(printf '%s\n' "$$BENCH_SETS" | awk '!seen[$$1]++ {print "-baseline", $$1}') $$tmp && status=0; \
 	rm -f $$tmp; exit $$status

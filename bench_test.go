@@ -8,7 +8,6 @@ package beesim
 // the usual timing columns. EXPERIMENTS.md records paper-vs-measured.
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -27,9 +26,7 @@ import (
 	"beesim/internal/routine"
 	"beesim/internal/services"
 	"beesim/internal/solar"
-	"beesim/internal/surrogate"
 	"beesim/internal/swarm"
-	"beesim/internal/vision"
 )
 
 // BenchmarkTableI regenerates Table I (edge scenarios); metric: the CNN
@@ -363,52 +360,6 @@ func BenchmarkAllocator(b *testing.B) {
 // Extension benchmarks (future-work subsystems)
 // ---------------------------------------------------------------------
 
-// BenchmarkAblationSurrogate contrasts the exact simulator against the
-// fitted surrogate on the same placement query; metrics: the speedup and
-// the surrogate's held-out decision accuracy.
-func BenchmarkAblationSurrogate(b *testing.B) {
-	svc, err := core.NewService(routine.CNN, 5*time.Minute)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := surrogate.DefaultConfig(svc)
-	cfg.Samples = 200
-	sur, err := surrogate.Fit(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := sur.Evaluate(cfg, 100, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	exactStart := time.Now()
-	const queries = 1000
-	for i := 0; i < queries; i++ {
-		if _, err := core.SimulateEdgeCloud(100+i, core.DefaultServer(35), svc,
-			core.Losses{}, core.FillSequential, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	exact := time.Since(exactStart)
-	fastStart := time.Now()
-	for i := 0; i < queries; i++ {
-		if _, err := sur.Predict(100+i, 35, false, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	fast := time.Since(fastStart)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sur.Predict(500, 35, false, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(exact)/float64(fast), "speedup_x")
-	b.ReportMetric(ev.DecisionAccuracy, "decision_accuracy")
-}
-
 // BenchmarkServiceBundlePlanning measures the multi-service planner.
 func BenchmarkServiceBundlePlanning(b *testing.B) {
 	bundle := services.Bundle{
@@ -449,22 +400,6 @@ func BenchmarkAdaptivePolicies(b *testing.B) {
 		gain = float64(results[3].Routines) / float64(results[0].Routines)
 	}
 	b.ReportMetric(gain, "yield_vs_fixed10m")
-}
-
-// BenchmarkBeeCounting measures the vision service on one entrance
-// image; metric: absolute counting error on a 10-bee scene.
-func BenchmarkBeeCounting(b *testing.B) {
-	scene, err := vision.Synthesize(vision.DefaultScene(10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var got int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got = vision.CountBees(scene.Image)
-	}
-	err10 := math.Abs(float64(got - 10))
-	b.ReportMetric(err10, "count_error")
 }
 
 // BenchmarkPipingScore measures the swarm service's audio analysis.

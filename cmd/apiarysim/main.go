@@ -382,10 +382,6 @@ func avail(args []string) error {
 		if err != nil {
 			return err
 		}
-		samples := cfg.UploadSamples
-		if samples <= 0 {
-			samples = experiments.DefaultUploadSamples
-		}
 
 		fmt.Printf("availability sweep: %d-%d clients, cap %d, %d attempts max\n\n",
 			cfg.From, cfg.To, *maxPar, cfg.Retry.MaxAttempts)
@@ -415,7 +411,7 @@ func avail(args []string) error {
 			if *sloPath != "" {
 				rep, err := slo.Evaluate(spec, slo.Input{
 					Snapshot: p.Obs,
-					Window:   time.Duration(samples) * experiments.Period,
+					Window:   experiments.UploadSamples * experiments.Period,
 				})
 				if err != nil {
 					return err

@@ -9,7 +9,6 @@ package beesim
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"beesim/internal/experiments"
 	"beesim/internal/ledger"
@@ -52,10 +51,6 @@ func renderSLOSweep(t *testing.T, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := cfg.UploadSamples
-	if samples <= 0 {
-		samples = experiments.DefaultUploadSamples
-	}
 	var buf bytes.Buffer
 	for _, p := range pts {
 		if err := p.Obs.WriteJSON(&buf); err != nil {
@@ -63,7 +58,7 @@ func renderSLOSweep(t *testing.T, workers int) []byte {
 		}
 		rep, err := slo.Evaluate(spec, slo.Input{
 			Snapshot: p.Obs,
-			Window:   time.Duration(samples) * experiments.Period,
+			Window:   experiments.UploadSamples * experiments.Period,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -70,45 +70,3 @@ func ExampleAllocate() {
 	// servers: 3
 	// first server carries 180 hives
 }
-
-// Planning a multi-service bundle: heavy services offload first.
-func ExamplePlanServices() {
-	plan, err := beesim.PlanServices(beesim.ServiceBundle{
-		Kinds:  []beesim.ServiceKind{beesim.QueenDetectionService, beesim.BeeCountingService},
-		Period: 30 * time.Minute,
-	}, 3000, beesim.DefaultServer(35), beesim.Losses{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("bee counting runs at: %v\n", plan.Decisions[beesim.BeeCountingService])
-	// Output:
-	// bee counting runs at: edge+cloud
-}
-
-// The orchestration optimizer: least energy within a freshness bound.
-func ExampleOptimize() {
-	res, err := beesim.Optimize(beesim.OptimizerRequirements{
-		Hives:        50,
-		Services:     []beesim.ServiceKind{beesim.QueenDetectionService},
-		MaxStaleness: 30 * time.Minute,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wake every %v\n", res.Best.Period)
-	// Output:
-	// wake every 30m0s
-}
-
-// Counting bees on a synthesized entrance image.
-func ExampleCountBees() {
-	scene, err := beesim.SynthesizeEntranceImage(8, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	count := beesim.CountBees(scene.Image)
-	fmt.Printf("truth %d, counted within one: %v\n", len(scene.Bees),
-		count >= len(scene.Bees)-1 && count <= len(scene.Bees)+1)
-	// Output:
-	// truth 8, counted within one: true
-}

@@ -172,10 +172,10 @@ func (p ForecastPolicy) Decide(obs Observation) Action {
 	return Action{Period: PeriodLadder[len(PeriodLadder)-1], Placement: routine.EdgeCloud}
 }
 
-// ForecastDay estimates the next 24 h of usable panel output at a
+// forecastDay estimates the next 24 h of usable panel output at a
 // location given the current cloudiness persisting (a standard
 // persistence forecast).
-func ForecastDay(loc solar.Location, panel solar.Panel, from time.Time, cloudCover float64) units.Joules {
+func forecastDay(loc solar.Location, panel solar.Panel, from time.Time, cloudCover float64) units.Joules {
 	var total stats.Kahan
 	const step = 15 * time.Minute
 	for t := from; t.Before(from.Add(24 * time.Hour)); t = t.Add(step) {
@@ -229,8 +229,8 @@ type Result struct {
 	FinalSoC float64
 }
 
-// Simulate runs one policy through the configured weather and battery.
-func Simulate(cfg Config, policy Policy) (Result, error) {
+// simulate runs one policy through the configured weather and battery.
+func simulate(cfg Config, policy Policy) (Result, error) {
 	if cfg.Days <= 0 {
 		return Result{}, errors.New("adaptive: non-positive day count")
 	}
@@ -261,7 +261,7 @@ func Simulate(cfg Config, policy Policy) (Result, error) {
 			Time:              now,
 			SoC:               pack.SoC(),
 			HarvestPower:      0,
-			ForecastDayJoules: ForecastDay(cfg.Location, panel, now, sample.CloudCover),
+			ForecastDayJoules: forecastDay(cfg.Location, panel, now, sample.CloudCover),
 		}
 		if out, ok := panel.Output(sample.Irradiance); ok {
 			obs.HarvestPower = out
@@ -329,7 +329,7 @@ func Compare(cfg Config, policies ...Policy) ([]Result, error) {
 	}
 	out := make([]Result, 0, len(policies))
 	for _, p := range policies {
-		r, err := Simulate(cfg, p)
+		r, err := simulate(cfg, p)
 		if err != nil {
 			return nil, err
 		}

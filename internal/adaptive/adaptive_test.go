@@ -50,8 +50,8 @@ func TestThresholdPolicyBands(t *testing.T) {
 func TestForecastDaySunnyVsOvercast(t *testing.T) {
 	from := time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
 	panel := solar.DefaultPanel()
-	sunny := ForecastDay(solar.Cachan, panel, from, 0)
-	cloudy := ForecastDay(solar.Cachan, panel, from, 1)
+	sunny := forecastDay(solar.Cachan, panel, from, 0)
+	cloudy := forecastDay(solar.Cachan, panel, from, 1)
 	if sunny <= cloudy {
 		t.Fatalf("sunny forecast %v not above overcast %v", sunny, cloudy)
 	}
@@ -84,10 +84,10 @@ func TestForecastPolicyBudgets(t *testing.T) {
 func TestSimulateValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Days = 0
-	if _, err := Simulate(cfg, DefaultThreshold()); err == nil {
+	if _, err := simulate(cfg, DefaultThreshold()); err == nil {
 		t.Error("zero days accepted")
 	}
-	if _, err := Simulate(DefaultConfig(), nil); err == nil {
+	if _, err := simulate(DefaultConfig(), nil); err == nil {
 		t.Error("nil policy accepted")
 	}
 }
@@ -101,12 +101,12 @@ func TestSimulateFixedAggressiveDrainsInBadWeather(t *testing.T) {
 	cfg.InitialSoC = 0.3
 	cfg.Seed = 3
 
-	aggressive, err := Simulate(cfg, FixedPolicy{Action: Action{
+	aggressive, err := simulate(cfg, FixedPolicy{Action: Action{
 		Period: 5 * time.Minute, Placement: routine.EdgeOnly}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Simulate(cfg, DefaultThreshold())
+	adaptive, err := simulate(cfg, DefaultThreshold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,12 @@ func TestSimulateSpringYields(t *testing.T) {
 	// In sunny April the threshold policy should sustain a fast cadence:
 	// clearly more routines than a fixed 2-hour baseline.
 	cfg := DefaultConfig()
-	slow, err := Simulate(cfg, FixedPolicy{Action: Action{
+	slow, err := simulate(cfg, FixedPolicy{Action: Action{
 		Period: 2 * time.Hour, Placement: routine.EdgeOnly}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Simulate(cfg, DefaultThreshold())
+	adaptive, err := simulate(cfg, DefaultThreshold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSimulateSpringYields(t *testing.T) {
 }
 
 func TestSimulateEnergyAccounting(t *testing.T) {
-	res, err := Simulate(DefaultConfig(), DefaultThreshold())
+	res, err := simulate(DefaultConfig(), DefaultThreshold())
 	if err != nil {
 		t.Fatal(err)
 	}

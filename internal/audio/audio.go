@@ -23,7 +23,6 @@ package audio
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 
@@ -260,66 +259,4 @@ func WriteWAV(w io.Writer, samples []float64, sampleRate int) error {
 		buf[i] = int16(v * 32767)
 	}
 	return binary.Write(w, binary.LittleEndian, buf)
-}
-
-// ReadWAV decodes a 16-bit PCM mono WAV produced by WriteWAV.
-func ReadWAV(r io.Reader) (samples []float64, sampleRate int, err error) {
-	var riff, wave, fmtID [4]byte
-	var riffLen, fmtLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &riff); err != nil {
-		return nil, 0, fmt.Errorf("audio: reading RIFF: %w", err)
-	}
-	if riff != [4]byte{'R', 'I', 'F', 'F'} {
-		return nil, 0, errors.New("audio: not a RIFF file")
-	}
-	if err := binary.Read(r, binary.LittleEndian, &riffLen); err != nil {
-		return nil, 0, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &wave); err != nil {
-		return nil, 0, err
-	}
-	if wave != [4]byte{'W', 'A', 'V', 'E'} {
-		return nil, 0, errors.New("audio: not a WAVE file")
-	}
-	if err := binary.Read(r, binary.LittleEndian, &fmtID); err != nil {
-		return nil, 0, err
-	}
-	if fmtID != [4]byte{'f', 'm', 't', ' '} {
-		return nil, 0, errors.New("audio: missing fmt chunk")
-	}
-	if err := binary.Read(r, binary.LittleEndian, &fmtLen); err != nil {
-		return nil, 0, err
-	}
-	var format, channels uint16
-	var rate, byteRate uint32
-	var blockAlign, bits uint16
-	for _, dst := range []any{&format, &channels, &rate, &byteRate, &blockAlign, &bits} {
-		if err := binary.Read(r, binary.LittleEndian, dst); err != nil {
-			return nil, 0, err
-		}
-	}
-	if format != 1 || channels != 1 || bits != 16 {
-		return nil, 0, fmt.Errorf("audio: unsupported format (PCM=%d ch=%d bits=%d)",
-			format, channels, bits)
-	}
-	var dataID [4]byte
-	var dataLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &dataID); err != nil {
-		return nil, 0, err
-	}
-	if dataID != [4]byte{'d', 'a', 't', 'a'} {
-		return nil, 0, errors.New("audio: missing data chunk")
-	}
-	if err := binary.Read(r, binary.LittleEndian, &dataLen); err != nil {
-		return nil, 0, err
-	}
-	raw := make([]int16, dataLen/2)
-	if err := binary.Read(r, binary.LittleEndian, &raw); err != nil {
-		return nil, 0, fmt.Errorf("audio: reading samples: %w", err)
-	}
-	out := make([]float64, len(raw))
-	for i, v := range raw {
-		out[i] = float64(v) / 32767
-	}
-	return out, int(rate), nil
 }

@@ -2,6 +2,7 @@ package audio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -218,6 +219,26 @@ func TestCorpusErrors(t *testing.T) {
 	}
 }
 
+// decodeWAV reads back the 44-byte header and 16-bit samples that
+// WriteWAV emits.
+func decodeWAV(t *testing.T, b []byte) (samples []float64, sampleRate int) {
+	t.Helper()
+	if len(b) < 44 || string(b[0:4]) != "RIFF" || string(b[8:16]) != "WAVEfmt " || string(b[36:40]) != "data" {
+		t.Fatalf("not a canonical WAV header: % x", b[:min(len(b), 44)])
+	}
+	le := binary.LittleEndian
+	if format, ch, bits := le.Uint16(b[20:]), le.Uint16(b[22:]), le.Uint16(b[34:]); format != 1 || ch != 1 || bits != 16 {
+		t.Fatalf("format %d, channels %d, bits %d; want 16-bit PCM mono", format, ch, bits)
+	}
+	if n := le.Uint32(b[40:]); int(n) != len(b)-44 || le.Uint32(b[4:]) != 36+n {
+		t.Fatalf("chunk sizes disagree with %d data bytes", len(b)-44)
+	}
+	for i := 44; i+1 < len(b); i += 2 {
+		samples = append(samples, float64(int16(le.Uint16(b[i:])))/32767)
+	}
+	return samples, int(le.Uint32(b[24:]))
+}
+
 func TestWAVRoundTrip(t *testing.T) {
 	s, _ := NewSynth(shortCfg())
 	clip := s.Clip(hive.QueenPresent, 0.7)
@@ -229,10 +250,7 @@ func TestWAVRoundTrip(t *testing.T) {
 	if buf.Len() != 44+2*len(clip) {
 		t.Fatalf("wav size = %d, want %d", buf.Len(), 44+2*len(clip))
 	}
-	back, rate, err := ReadWAV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back, rate := decodeWAV(t, buf.Bytes())
 	if rate != SampleRate {
 		t.Fatalf("rate = %d", rate)
 	}
@@ -251,10 +269,7 @@ func TestWAVClipsOutOfRange(t *testing.T) {
 	if err := WriteWAV(&buf, []float64{2.5, -3.0}, 8000); err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := ReadWAV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back, _ := decodeWAV(t, buf.Bytes())
 	if back[0] < 0.99 || back[1] > -0.99 {
 		t.Fatalf("out-of-range samples not clipped: %v", back)
 	}
@@ -263,11 +278,5 @@ func TestWAVClipsOutOfRange(t *testing.T) {
 func TestWAVErrors(t *testing.T) {
 	if err := WriteWAV(&bytes.Buffer{}, []float64{0}, 0); err == nil {
 		t.Error("zero rate accepted")
-	}
-	if _, _, err := ReadWAV(bytes.NewReader([]byte("JUNKJUNKJUNK"))); err == nil {
-		t.Error("junk accepted as WAV")
-	}
-	if _, _, err := ReadWAV(bytes.NewReader(nil)); err == nil {
-		t.Error("empty reader accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"beesim/internal/stats"
 	"beesim/internal/units"
 )
 
@@ -144,33 +143,4 @@ func (a Allocation) ServerTimeline(srv Server) ([]Span, error) {
 	}
 	appendIdle(spec.Period)
 	return spans, nil
-}
-
-// TimelineEnergy integrates the timeline's power profile.
-func TimelineEnergy(spans []Span) units.Joules {
-	var total stats.Kahan
-	for _, s := range spans {
-		total.Add(float64(s.Energy()))
-	}
-	return units.Joules(total.Sum())
-}
-
-// SlotStart returns when a slot's upload window opens within the cycle —
-// the instant the allocator's clients in that slot must wake and
-// transmit ("every client within a group has to start their
-// communication with the server at the same time").
-func (a Allocation) SlotStart(srv Server, slot int) (time.Duration, error) {
-	if slot < 0 || slot >= len(srv.Slots) {
-		return 0, fmt.Errorf("core: slot %d out of range", slot)
-	}
-	spans, err := a.ServerTimeline(srv)
-	if err != nil {
-		return 0, err
-	}
-	for _, s := range spans {
-		if s.Phase == PhaseReceive && s.Slot == slot {
-			return s.Start, nil
-		}
-	}
-	return 0, fmt.Errorf("core: slot %d is empty", slot)
 }

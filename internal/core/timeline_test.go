@@ -2,11 +2,14 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"beesim/internal/routine"
+	"beesim/internal/stats"
+	"beesim/internal/units"
 )
 
 func fullServerAlloc(t *testing.T, n int, l Losses) Allocation {
@@ -17,6 +20,15 @@ func fullServerAlloc(t *testing.T, n int, l Losses) Allocation {
 		t.Fatal(err)
 	}
 	return alloc
+}
+
+// timelineEnergy integrates a timeline's power profile.
+func timelineEnergy(spans []Span) units.Joules {
+	var total stats.Kahan
+	for _, s := range spans {
+		total.Add(float64(s.Energy()))
+	}
+	return units.Joules(total.Sum())
 }
 
 func TestTimelineCoversCycleExactly(t *testing.T) {
@@ -93,7 +105,7 @@ func TestTimelineCrossValidatesAnalyticEnergy(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := float64(alloc.ServerEnergy(srv))
-					got := float64(TimelineEnergy(spans))
+					got := float64(timelineEnergy(spans))
 					if math.Abs(got-want) > 1e-6*math.Max(1, want) {
 						t.Fatalf("n=%d server %d: timeline %v J vs analytic %v J",
 							n, si, got, want)
@@ -122,7 +134,7 @@ func TestPropertyTimelineMatchesAnalytic(t *testing.T) {
 				return false
 			}
 			want := float64(alloc.ServerEnergy(srv))
-			got := float64(TimelineEnergy(spans))
+			got := float64(timelineEnergy(spans))
 			if math.Abs(got-want) > 1e-6*math.Max(1, want) {
 				return false
 			}
@@ -136,28 +148,20 @@ func TestPropertyTimelineMatchesAnalytic(t *testing.T) {
 
 func TestSlotStartSchedule(t *testing.T) {
 	alloc := fullServerAlloc(t, 30, Losses{})
-	srv := alloc.Servers[0]
-	// Slot 0 opens at the cycle start; slot 1 after one slot duration (16 s).
-	s0, err := alloc.SlotStart(srv, 0)
+	spans, err := alloc.ServerTimeline(alloc.Servers[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s0 != 0 {
-		t.Fatalf("slot 0 start = %v", s0)
+	// Slot 0 opens at the cycle start; slot 1 after one slot duration
+	// (16 s); empty slots open no upload window.
+	var starts []time.Duration
+	for _, s := range spans {
+		if s.Phase == PhaseReceive {
+			starts = append(starts, s.Start)
+		}
 	}
-	s1, err := alloc.SlotStart(srv, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != 16*time.Second {
-		t.Fatalf("slot 1 start = %v, want 16 s", s1)
-	}
-	// An empty slot has no start.
-	if _, err := alloc.SlotStart(srv, len(srv.Slots)-1); err == nil {
-		t.Fatal("empty slot reported a start")
-	}
-	if _, err := alloc.SlotStart(srv, 99); err == nil {
-		t.Fatal("out-of-range slot accepted")
+	if want := []time.Duration{0, 16 * time.Second, 32 * time.Second}; !slices.Equal(starts, want) {
+		t.Fatalf("slot starts = %v, want %v", starts, want)
 	}
 }
 

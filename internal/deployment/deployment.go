@@ -75,10 +75,6 @@ type Config struct {
 	// governs uplink retries. A nil plan keeps the run on the exact
 	// fault-free path with byte-identical outputs.
 	Faults *faults.Plan
-	// UploadBufferCap bounds the buffer-and-drain queue for failed
-	// uploads (0 = routine.DefaultUploadBufferCap); only meaningful
-	// with Faults armed.
-	UploadBufferCap int
 
 	// Ledger, when non-nil, records every energy flow of the run as a
 	// typed entry: panel production, battery charge (harvest), monitor
@@ -270,7 +266,7 @@ func Run(cfg Config) (*Trace, error) {
 		if err := link.AttachFaults(inj, cfg.Faults.RetryOrDefault(), cfg.Metrics); err != nil {
 			return nil, err
 		}
-		buf = routine.NewUploadBuffer(cfg.UploadBufferCap)
+		buf = routine.NewUploadBuffer(routine.DefaultUploadBufferCap)
 		mUploadFail = cfg.Metrics.Counter(MetricUploadFailures)
 		mFlushed = cfg.Metrics.Counter(MetricUploadsFlushed)
 		mDropped = cfg.Metrics.Counter(MetricUploadsDropped)

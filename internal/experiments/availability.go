@@ -51,13 +51,6 @@ type AvailabilityConfig struct {
 	AvailTo    float64
 	AvailSteps int
 
-	// UploadSamples is how many upload episodes each point replays
-	// through a fault-armed link to measure the latency distribution
-	// (0 selects DefaultUploadSamples). The episodes feed the per-point
-	// netsim upload histograms, so every point carries its own p50/p99
-	// upload latency and delivered fraction.
-	UploadSamples int
-
 	Seed uint64
 	// Workers fans the availability points out; each point's inner
 	// client sweep runs serially, and all side effects are committed in
@@ -83,10 +76,13 @@ const (
 	MetricAvailCrossover = "experiments_availability_crossover_clients"
 )
 
-// DefaultUploadSamples is the per-point upload-episode count when the
-// config leaves it zero: a day and a half of 10-minute routines, enough
-// for a stable p99 over 64-attempt retry budgets.
-const DefaultUploadSamples = 216
+// UploadSamples is how many upload episodes each availability point
+// replays through a fault-armed link to measure the latency
+// distribution: a day and a half of 10-minute routines, enough for a
+// stable p99 over 64-attempt retry budgets. The episodes feed the
+// per-point netsim upload histograms, so every point carries its own
+// p50/p99 upload latency and delivered fraction.
+const UploadSamples = 216
 
 // DefaultAvailabilityConfig mirrors Figure 7 (100-2000 clients, cap-35
 // servers, no losses) — the regime where the paper's crossover lives —
@@ -278,12 +274,8 @@ func AvailabilitySweep(cfg AvailabilityConfig) ([]AvailabilityPoint, error) {
 		// stream seed is two levels below the sweep seed so it can
 		// never collide with the inner sweep's stream.
 		reg := obs.NewRegistry()
-		samples := cfg.UploadSamples
-		if samples <= 0 {
-			samples = DefaultUploadSamples
-		}
 		if err := uploadEpisodes(reg, rng.StreamSeed(rng.StreamSeed(cfg.Seed, uint64(i)), 1<<32),
-			a, cfg.Retry, samples); err != nil {
+			a, cfg.Retry, UploadSamples); err != nil {
 			return availEval{}, err
 		}
 		point.Obs = reg.Snapshot()

@@ -10,7 +10,6 @@ import (
 	"beesim/internal/core"
 	"beesim/internal/ledger"
 	"beesim/internal/routine"
-	"beesim/internal/stats"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -287,7 +286,6 @@ func TestSweepSeriesAndCrossovers(t *testing.T) {
 	if xs[0] < 400 || xs[0] > 412 {
 		t.Fatalf("first crossover at %v, want ~406", xs[0])
 	}
-	_ = stats.ArgMax // keep the stats dependency explicit
 }
 
 func TestFigure2ShortTrace(t *testing.T) {

@@ -69,10 +69,10 @@ type ApiaryHive struct {
 	Seed     uint64
 }
 
-// PaperApiary returns the paper's deployment: "Five smart beehives are
+// paperApiary returns the paper's deployment: "Five smart beehives are
 // currently deployed. Two are located to the South of Paris in Cachan,
 // and the others are in Lyon."
-func PaperApiary() []ApiaryHive {
+func paperApiary() []ApiaryHive {
 	return []ApiaryHive{
 		{Name: "cachan-1", Location: solar.Cachan, Seed: 11},
 		{Name: "cachan-2", Location: solar.Cachan, Seed: 12},
@@ -93,7 +93,7 @@ func Apiary(days int, wake time.Duration) ([]ApiaryResult, error) {
 	if days <= 0 {
 		return nil, errors.New("experiments: non-positive day count")
 	}
-	hives := PaperApiary()
+	hives := paperApiary()
 	// One deployment per hive, each on its own fixed seed: embarrassingly
 	// parallel, merged back in fleet order.
 	return parallel.Map(0, len(hives), func(i int) (ApiaryResult, error) {

@@ -240,10 +240,10 @@ func (p Plan) RetryOrDefault() RetryPolicy {
 	return DefaultRetryPolicy()
 }
 
-// ParsePlan decodes and validates a JSON fault plan. Unknown fields and
+// parsePlan decodes and validates a JSON fault plan. Unknown fields and
 // trailing garbage are rejected, as are NaN, infinite or negative
 // durations and out-of-range probabilities.
-func ParsePlan(data []byte) (Plan, error) {
+func parsePlan(data []byte) (Plan, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var p Plan
@@ -265,5 +265,5 @@ func LoadPlan(path string) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	return ParsePlan(data)
+	return parsePlan(data)
 }

@@ -55,14 +55,14 @@ func TestParsePlanRejects(t *testing.T) {
 		"not a plan":       `[1, 2, 3]`,
 	}
 	for name, src := range bad {
-		if _, err := ParsePlan([]byte(src)); err == nil {
+		if _, err := parsePlan([]byte(src)); err == nil {
 			t.Errorf("%s: accepted %s", name, src)
 		}
 	}
 }
 
 func TestParsePlanEmptyIsValid(t *testing.T) {
-	p, err := ParsePlan([]byte(`{}`))
+	p, err := parsePlan([]byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParsePlan(data)
+	back, err := parsePlan(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 	"time"
 )
 
-// FuzzFaultPlanJSON: any input ParsePlan accepts must validate, survive
+// FuzzFaultPlanJSON: any input parsePlan accepts must validate, survive
 // a marshal/parse round trip, and marshal to stable bytes. Inputs
 // carrying NaN, infinities or negative durations must be rejected.
 func FuzzFaultPlanJSON(f *testing.F) {
@@ -32,13 +32,13 @@ func FuzzFaultPlanJSON(f *testing.F) {
 	f.Add([]byte(`{"seed": 1} trailing`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		plan, err := ParsePlan(data)
+		plan, err := parsePlan(data)
 		if err != nil {
 			return // rejected inputs are fine; panics are not
 		}
 		// Accepted plans are valid by construction...
 		if err := plan.Validate(); err != nil {
-			t.Fatalf("ParsePlan accepted an invalid plan: %v", err)
+			t.Fatalf("parsePlan accepted an invalid plan: %v", err)
 		}
 		// ...carry no non-finite or negative windows...
 		for _, w := range windowsOf(plan) {
@@ -52,7 +52,7 @@ func FuzzFaultPlanJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal accepted plan: %v", err)
 		}
-		back, err := ParsePlan(first)
+		back, err := parsePlan(first)
 		if err != nil {
 			t.Fatalf("re-parse own marshal: %v\n%s", err, first)
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"beesim/internal/audio"
-	"beesim/internal/faults"
 	"beesim/internal/hive"
 	"beesim/internal/netsim"
 	"beesim/internal/obs"
@@ -23,42 +22,28 @@ import (
 // usable; the caller decides whether to retry next wake-up.
 var ErrUploadDropped = errors.New("hivenet: upload dropped: uplink retry budget exhausted")
 
-// RejectedError is the client-side face of a TypeReject frame: the
+// rejectError is the client-side face of a TypeReject frame: the
 // server's admission control refused the request. For code
 // "over_capacity" the session stays open and the client should back
 // off and retry; for "server_full" the server closed the connection.
-type RejectedError struct {
-	Code       string
-	Message    string
-	RetryAfter time.Duration
+type rejectError struct {
+	Code    string
+	Message string
 }
 
 // Error implements error.
-func (e *RejectedError) Error() string {
+func (e *rejectError) Error() string {
 	return fmt.Sprintf("hivenet: rejected (%s): %s", e.Code, e.Message)
 }
 
-// IsRejected unwraps err into a RejectedError, if it is one.
-func IsRejected(err error) (*RejectedError, bool) {
-	var re *RejectedError
-	if errors.As(err, &re) {
-		return re, true
-	}
-	return nil, false
-}
-
-// rejectedError converts a decoded TypeReject frame into its typed
+// newRejectError converts a decoded TypeReject frame into its typed
 // error.
-func rejectedError(f proto.Frame) error {
+func newRejectError(f proto.Frame) error {
 	var body proto.RejectBody
 	if err := f.Unmarshal(proto.TypeReject, &body); err != nil {
 		return err
 	}
-	return &RejectedError{
-		Code:       body.Code,
-		Message:    body.Message,
-		RetryAfter: time.Duration(body.RetryAfterS * float64(time.Second)),
-	}
+	return &rejectError{Code: body.Code, Message: body.Message}
 }
 
 // AgentConfig shapes one edge agent.
@@ -113,7 +98,6 @@ type Agent struct {
 	cycles     int
 	wakes      int
 	edgeEnergy units.Joules
-	lastResult *proto.Result
 	lastTrace  string
 }
 
@@ -172,7 +156,7 @@ func Dial(addr string, cfg AgentConfig) (*Agent, error) {
 		return nil, err
 	}
 	if f.Type == proto.TypeReject {
-		err := rejectedError(f)
+		err := newRejectError(f)
 		conn.Close()
 		return nil, err
 	}
@@ -201,14 +185,6 @@ func (a *Agent) Cycles() int { return a.cycles }
 // per the calibrated tables; sleep is not included since wall-clock time
 // in tests is compressed).
 func (a *Agent) EdgeEnergy() units.Joules { return a.edgeEnergy }
-
-// LastResult returns the most recent verdict, if any.
-func (a *Agent) LastResult() (proto.Result, bool) {
-	if a.lastResult == nil {
-		return proto.Result{}, false
-	}
-	return *a.lastResult, true
-}
 
 // LastTraceID returns the trace ID of the most recent wake-up ("" when
 // the agent runs untraced or has not cycled yet). Use it to fetch the
@@ -333,7 +309,7 @@ func (a *Agent) RunCycle(state hive.QueenState, activity float64, now time.Time)
 			// Typed backpressure: the session stays open; surface the
 			// rejection so the caller can back off and retry.
 			a.lastTrace = sc.TraceHex()
-			return proto.Result{}, rejectedError(f)
+			return proto.Result{}, newRejectError(f)
 		}
 		if f.Type == proto.TypeError {
 			var e proto.ErrorBody
@@ -360,42 +336,8 @@ func (a *Agent) RunCycle(state hive.QueenState, activity float64, now time.Time)
 			map[string]any{"hive": a.cfg.HiveID})
 	}
 	a.cycles++
-	a.lastResult = &result
 	a.lastTrace = sc.TraceHex()
 	return result, nil
-}
-
-// RunCycleRetry is the well-behaved client loop around RunCycle: on a
-// typed over-capacity rejection it backs off per policy (honoring the
-// server's RetryAfter hint when it is longer) and retries the cycle,
-// up to the policy's attempt budget. Backoff sleeps are real time,
-// scaled by sleepScale so tests and compressed-time replays can shrink
-// them (1.0 = real backoff; 0 sleeps not at all). It returns the
-// result, the number of attempts consumed, and the final error: nil on
-// delivery, the last RejectedError when the budget is exhausted, or
-// any non-reject error immediately.
-func (a *Agent) RunCycleRetry(state hive.QueenState, activity float64, now time.Time,
-	policy faults.RetryPolicy, sleepScale float64) (proto.Result, int, error) {
-	if err := policy.Validate(); err != nil {
-		return proto.Result{}, 0, err
-	}
-	for attempt := 1; ; attempt++ {
-		res, err := a.RunCycle(state, activity, now)
-		if err == nil {
-			return res, attempt, nil
-		}
-		rej, ok := IsRejected(err)
-		if !ok || rej.Code != proto.RejectOverCapacity || attempt >= policy.MaxAttempts {
-			return proto.Result{}, attempt, err
-		}
-		delay := policy.Backoff(attempt, 0.5)
-		if rej.RetryAfter > delay {
-			delay = rej.RetryAfter
-		}
-		if sleepScale > 0 && delay > 0 {
-			time.Sleep(time.Duration(float64(delay) * sleepScale)) //beelint:allow walltime real client backoff against a live server
-		}
-	}
 }
 
 func (a *Agent) expectAck() error {

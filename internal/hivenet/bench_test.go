@@ -9,6 +9,7 @@ import (
 
 	"beesim/internal/audio"
 	"beesim/internal/obs"
+	"beesim/internal/parallel"
 	"beesim/internal/proto"
 )
 
@@ -39,6 +40,10 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // streaming one session of b.N identical uploads through the handler
 // over an in-memory conn.
 func BenchmarkServerHandleUpload(b *testing.B) {
+	// dsp's frame fan-out sizes itself by the machine's CPU count; one
+	// worker keeps allocs/op the same on every machine.
+	parallel.SetDefault(1)
+	defer parallel.SetDefault(0)
 	cfg := DefaultServerConfig()
 	cfg.TrainCorpus = 12
 	cfg.ClipSeconds = 0.25

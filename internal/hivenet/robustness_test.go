@@ -177,19 +177,11 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agent.Close()
-	if _, err := agent.RunCycle(hive.QueenLost, 0.5, time.Now().UTC()); err != nil {
+	res, err := agent.RunCycle(hive.QueenLost, 0.5, time.Now().UTC())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !agentResultQueenless(t, agent) {
+	if res.QueenPresent {
 		t.Fatal("verdict lost after another session crashed")
 	}
-}
-
-func agentResultQueenless(t *testing.T, a *Agent) bool {
-	t.Helper()
-	res, ok := a.LastResult()
-	if !ok {
-		t.Fatal("no result")
-	}
-	return !res.QueenPresent
 }

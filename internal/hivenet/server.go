@@ -200,17 +200,9 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.TrainCorpus < 8 {
 		return nil, errors.New("hivenet: training corpus too small")
 	}
-	corpus, err := audio.Corpus(audio.Config{
-		SampleRate: audio.SampleRate,
-		Seconds:    cfg.ClipSeconds,
-		Seed:       cfg.Seed,
-	}, cfg.TrainCorpus)
+	detector, err := trainedDetector(cfg)
 	if err != nil {
 		return nil, err
-	}
-	detector, err := queendetect.TrainSVM(corpus, audio.SampleRate, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("hivenet: training detector: %w", err)
 	}
 	archive := store.OpenMemory()
 	if cfg.ArchivePath != "" {
@@ -257,6 +249,47 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		s.archive.SetCap(cfg.Admission.MaxArchiveRecords)
 	}
 	return s, nil
+}
+
+// detectorKey names a trained detector: NewServer's training is a pure
+// function of these three config fields.
+type detectorKey struct {
+	seed        uint64
+	trainCorpus int
+	clipSeconds float64
+}
+
+var (
+	detectorMu sync.Mutex
+	detectors  = map[detectorKey]*queendetect.SVMResult{}
+)
+
+// trainedDetector synthesizes the training corpus and trains the SVM on
+// the first call for a (Seed, TrainCorpus, ClipSeconds) triple, and
+// returns that detector on every later call: servers only read it, so
+// shards and restarts in one process share it. A failed training is
+// not stored.
+func trainedDetector(cfg ServerConfig) (*queendetect.SVMResult, error) {
+	key := detectorKey{seed: cfg.Seed, trainCorpus: cfg.TrainCorpus, clipSeconds: cfg.ClipSeconds}
+	detectorMu.Lock()
+	defer detectorMu.Unlock()
+	if d, ok := detectors[key]; ok {
+		return d, nil
+	}
+	corpus, err := audio.Corpus(audio.Config{
+		SampleRate: audio.SampleRate,
+		Seconds:    cfg.ClipSeconds,
+		Seed:       cfg.Seed,
+	}, cfg.TrainCorpus)
+	if err != nil {
+		return nil, err
+	}
+	d, err := queendetect.TrainSVM(corpus, audio.SampleRate, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("hivenet: training detector: %w", err)
+	}
+	detectors[key] = d
+	return d, nil
 }
 
 // Metrics returns the registry the server was configured with (nil when

@@ -160,7 +160,7 @@ func ReadJSONL(r io.Reader) (*Ledger, error) {
 			if err != nil {
 				return nil, fmt.Errorf("ledger: line %d: %w", lineNo, err)
 			}
-			dir, err := ParseDirection(we.Dir)
+			dir, err := parseDirection(we.Dir)
 			if err != nil {
 				return nil, fmt.Errorf("ledger: line %d: %w", lineNo, err)
 			}

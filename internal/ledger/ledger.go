@@ -59,8 +59,8 @@ func (d Direction) String() string {
 	}
 }
 
-// ParseDirection inverts String.
-func ParseDirection(s string) (Direction, error) {
+// parseDirection inverts String.
+func parseDirection(s string) (Direction, error) {
 	switch s {
 	case "harvest":
 		return Harvest, nil

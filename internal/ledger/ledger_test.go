@@ -184,13 +184,13 @@ func TestReadJSONLRejectsMalformed(t *testing.T) {
 
 func TestDirectionStringsRoundTrip(t *testing.T) {
 	for _, d := range []Direction{Harvest, Consume, StoreLoss} {
-		back, err := ParseDirection(d.String())
+		back, err := parseDirection(d.String())
 		if err != nil || back != d {
 			t.Fatalf("round trip %v: %v, %v", d, back, err)
 		}
 	}
-	if _, err := ParseDirection("nope"); err == nil {
-		t.Fatal("ParseDirection should reject unknown names")
+	if _, err := parseDirection("nope"); err == nil {
+		t.Fatal("parseDirection should reject unknown names")
 	}
 }
 

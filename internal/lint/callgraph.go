@@ -68,9 +68,9 @@ type CallGraph struct {
 	Callers map[*types.Func][]*FuncNode
 }
 
-// BuildCallGraph constructs the call graph over the given packages.
+// buildCallGraph constructs the call graph over the given packages.
 // Packages must share the fset they were parsed with.
-func BuildCallGraph(pkgs []*Package, fset *token.FileSet) *CallGraph {
+func buildCallGraph(pkgs []*Package, fset *token.FileSet) *CallGraph {
 	g := &CallGraph{
 		Nodes:   make(map[*types.Func]*FuncNode),
 		Callers: make(map[*types.Func][]*FuncNode),
@@ -127,7 +127,7 @@ func collectCalls(info *types.Info, body *ast.BlockStmt) []CallSite {
 		if !ok {
 			return true
 		}
-		if callee := StaticCallee(info, call); callee != nil {
+		if callee := staticCallee(info, call); callee != nil {
 			calls = append(calls, CallSite{Pos: call.Pos(), Callee: callee})
 		}
 		return true
@@ -135,11 +135,11 @@ func collectCalls(info *types.Info, body *ast.BlockStmt) []CallSite {
 	return calls
 }
 
-// StaticCallee resolves a call expression to the declared function it
+// staticCallee resolves a call expression to the declared function it
 // invokes, or nil for builtins, conversions, function values and
 // interface-method calls. Generic instantiations resolve to their
 // origin so summaries are computed once per declaration.
-func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -48,14 +48,14 @@ func (s *suppressor) suppressed(f Finding) bool {
 	return lines[f.Line][f.Check] || lines[f.Line-1][f.Check]
 }
 
-// ParseDirective classifies one comment's text as a //beelint:allow
+// parseDirective classifies one comment's text as a //beelint:allow
 // directive against the known check set. It returns the allowed check
 // name when the directive is well-formed (ok true); a non-empty
 // problem when the text is a malformed directive that deserves a
 // "directive" finding; and ("", false, "") when the text is not a
 // beelint directive at all. Exported for the fuzz harness: the parser
 // must hold these invariants (and not panic) on arbitrary input.
-func ParseDirective(text string, known map[string]bool) (check string, ok bool, problem string) {
+func parseDirective(text string, known map[string]bool) (check string, ok bool, problem string) {
 	if !strings.HasPrefix(text, directivePrefix) {
 		return "", false, ""
 	}
@@ -85,13 +85,13 @@ func parseDirectives(pkg *Package, fset *token.FileSet) (*suppressor, []Finding)
 		file: make(map[string]map[string]bool),
 		line: make(map[string]map[int]map[string]bool),
 	}
-	known := AnalyzerNames()
+	known := analyzerNames()
 	var findings []Finding
 	for _, f := range pkg.Files {
 		pkgLine := fset.Position(f.Package).Line
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				check, ok, problem := ParseDirective(c.Text, known)
+				check, ok, problem := parseDirective(c.Text, known)
 				if !ok && problem == "" {
 					continue
 				}

@@ -27,7 +27,7 @@ var errDropPkgs = []string{
 // function declared in one of the guarded packages, returning the
 // rendered name for the message.
 func droppablePathErr(info *types.Info, call *ast.CallExpr) (string, bool) {
-	fn := StaticCallee(info, call)
+	fn := staticCallee(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}

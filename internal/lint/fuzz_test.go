@@ -31,9 +31,9 @@ func FuzzLintDirective(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	known := AnalyzerNames()
+	known := analyzerNames()
 	f.Fuzz(func(t *testing.T, text string) {
-		check, ok, problem := ParseDirective(text, known)
+		check, ok, problem := parseDirective(text, known)
 		switch {
 		case ok:
 			if problem != "" {

@@ -79,7 +79,7 @@ func NewModule(pkgs []*Package, fset *token.FileSet, root string) *Module {
 	return &Module{
 		Pkgs:   pkgs,
 		Fset:   fset,
-		Graph:  BuildCallGraph(pkgs, fset),
+		Graph:  buildCallGraph(pkgs, fset),
 		Root:   root,
 		sup:    merged,
 		pkgSet: pkgSet,
@@ -520,7 +520,7 @@ func (m *Module) mapRangeSinkFindings() []Finding {
 				if !ok {
 					return true
 				}
-				callee := StaticCallee(info, call)
+				callee := staticCallee(info, call)
 				if callee == nil || callee == node.Fn {
 					return true
 				}

@@ -122,9 +122,9 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// AnalyzerNames returns the known check names, including the implicit
+// analyzerNames returns the known check names, including the implicit
 // "directive" check, for validating suppression directives.
-func AnalyzerNames() map[string]bool {
+func analyzerNames() map[string]bool {
 	names := map[string]bool{"directive": true}
 	for _, a := range Analyzers() {
 		names[a.Name] = true

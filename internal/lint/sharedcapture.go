@@ -32,7 +32,7 @@ var analyzerSharedCapture = &Analyzer{
 			if !ok {
 				return true
 			}
-			fn := StaticCallee(info, call)
+			fn := staticCallee(info, call)
 			if fn == nil || fn.Pkg() == nil || !pathHasSuffix(fn.Pkg().Path(), "internal/parallel") {
 				return true
 			}

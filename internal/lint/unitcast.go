@@ -10,10 +10,10 @@ package lint
 //     (multiplication and division are legitimate dimensional math).
 //
 //  2. bare constants — passing an untyped constant where a units
-//     parameter is expected (`NewBattery(12, 100)`) type-checks via
-//     implicit conversion, hiding which argument is the Volts and
-//     which the AmpereHours. Non-zero constants must be written as
-//     explicit conversions (`units.Volts(12)`).
+//     parameter is expected (`pack.Discharge(2.5, d)`) type-checks via
+//     implicit conversion, hiding which unit the number is in.
+//     Non-zero constants must be written as explicit conversions
+//     (`units.Watts(2.5)`).
 
 import (
 	"go/ast"

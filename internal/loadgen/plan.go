@@ -25,9 +25,6 @@ type PlanOptions struct {
 	MaxServers int
 	// Workers bounds concurrency; any value is byte-identical.
 	Workers int
-	// Multipliers overrides the knee sweep (default
-	// DefaultKneeMultipliers).
-	Multipliers []float64
 }
 
 // Probe is one capacity probe: did `Servers` shards meet the SLO?
@@ -131,10 +128,6 @@ func Plan(spec LoadSpec, evs []Event, sloSpec slo.Spec, opt PlanOptions) (PlanRe
 	if maxServers <= 0 {
 		maxServers = DefaultMaxServers
 	}
-	mults := opt.Multipliers
-	if len(mults) == 0 {
-		mults = DefaultKneeMultipliers
-	}
 	out := PlanReport{
 		SpecName:   spec.Name,
 		SLOName:    sloSpec.Name,
@@ -194,8 +187,8 @@ func Plan(spec LoadSpec, evs []Event, sloSpec slo.Spec, opt PlanOptions) (PlanRe
 	// Knee sweep: each multiplier is an independent probe, so they
 	// fan out; per-probe shard simulation stays serial to avoid
 	// nested pools.
-	knee, err := parallel.Map(opt.Workers, len(mults), func(i int) (KneePoint, error) {
-		m := mults[i]
+	knee, err := parallel.Map(opt.Workers, len(DefaultKneeMultipliers), func(i int) (KneePoint, error) {
+		m := DefaultKneeMultipliers[i]
 		sim, _, err := probeOnce(spec, evs, sloSpec, sized, 1, m)
 		if err != nil {
 			return KneePoint{}, err

@@ -103,7 +103,7 @@ func clipPCM(spec LoadSpec, h int) ([]byte, int) {
 func sensorReport(spec LoadSpec, h, w int, at time.Time) proto.SensorReport {
 	z := rng.StreamSeed(rng.StreamSeed(spec.Seed, saltClip), uint64(h)<<20|uint64(w))
 	return proto.SensorReport{
-		HiveID:       HiveID(h),
+		HiveID:       hiveID(h),
 		Time:         at,
 		InsideTempC:  34 + 2*u01(z),
 		InsideRH:     55 + 10*u01(z>>7),
@@ -130,7 +130,7 @@ func Run(spec LoadSpec, evs []Event, opt RunOptions) (RunResult, error) {
 		return RunResult{}, err
 	}
 	policy := spec.RetryPolicy()
-	byHive := ByHive(spec, evs)
+	byHive := groupByHive(spec, evs)
 	reg := obs.NewRegistry()
 	hWall := reg.Histogram(MetricUploadWallSeconds)
 	// Dedicated transport so the replay's keep-alive dashboard conns
@@ -187,7 +187,7 @@ func runHive(spec LoadSpec, evs []Event, h int, opt RunOptions,
 
 	fail := func(err error) hiveOutcome {
 		out.failed = true
-		out.err = fmt.Errorf("loadgen: %s: %w", HiveID(h), err)
+		out.err = fmt.Errorf("loadgen: %s: %w", hiveID(h), err)
 		out.unattempted = out.offered - out.delivered - out.lost
 		return out
 	}
@@ -202,7 +202,7 @@ func runHive(spec LoadSpec, evs []Event, h int, opt RunOptions,
 
 	deadline()
 	if err := proto.Encode(conn, proto.TypeHello, proto.Hello{
-		HiveID:            HiveID(h),
+		HiveID:            hiveID(h),
 		WakePeriodSeconds: spec.WakePeriodS,
 		Version:           1,
 	}, nil); err != nil {
@@ -315,7 +315,7 @@ func uploadWithRetry(spec LoadSpec, conn net.Conn, h int, wake time.Time,
 		_ = conn.SetDeadline(time.Now().Add(opt.IOTimeout))
 		sent := time.Now()
 		if err := proto.Encode(conn, proto.TypeAudioUpload, proto.AudioUpload{
-			HiveID:     HiveID(h),
+			HiveID:     hiveID(h),
 			Time:       vt,
 			SampleRate: audio.SampleRate,
 			Samples:    samples,

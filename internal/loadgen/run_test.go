@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"beesim/internal/audio"
 	"beesim/internal/hivenet"
 	"beesim/internal/obs"
+	"beesim/internal/proto"
 )
 
 // stressSpec is the short-mode fleet: 200 hives x 2 wake-ups across 2
@@ -183,5 +185,69 @@ func TestRunRejectedByFullSessionCap(t *testing.T) {
 	}
 	if res.Delivered+res.Lost+res.Unattempted != res.Offered {
 		t.Fatalf("accounting broke under session caps: %+v", res)
+	}
+}
+
+// TestRetryingClientEventuallyDelivers: a raw session parks an upload
+// in a one-upload inflight budget, so the replay's first attempt is
+// rejected with over_capacity; its retry policy must carry it to
+// delivery once the slot frees, and the server must count only the
+// two delivered uploads.
+func TestRetryingClientEventuallyDelivers(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{
+	  "name": "retry", "seed": 9, "hives": 1, "wake_period_s": 300,
+	  "horizon_s": 300, "clip_s": 0.25, "phase_spread": 0, "shards": 1,
+	  "server": {"max_inflight": 1, "stall_ms": 800},
+	  "retry": {"max_attempts": 10, "base_s": 0.15, "max_s": 1,
+	            "multiplier": 2, "jitter_frac": 0, "attempt_timeout_s": 0.1}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers, addrs, _ := bootShards(t, spec, 1)
+	s := servers[0]
+
+	park, err := net.DialTimeout("tcp", addrs[0], 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer park.Close()
+	if err := proto.Encode(park, proto.TypeHello,
+		proto.Hello{HiveID: "park", WakePeriodSeconds: 300, Version: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := proto.Decode(park); err != nil || f.Type != proto.TypeWelcome {
+		t.Fatalf("hello answered with %v, %v", f.Type, err)
+	}
+	pcm, samples := clipPCM(spec, 1)
+	if err := proto.Encode(park, proto.TypeAudioUpload, proto.AudioUpload{
+		HiveID: "park", Time: CampaignStart, SampleRate: audio.SampleRate, Samples: samples,
+	}, pcm); err != nil {
+		t.Fatal(err)
+	}
+	inflight := s.Metrics().Gauge(hivenet.MetricInflightUploads)
+	if !settle(10*time.Second, func() bool { return inflight.Value() >= 1 }) {
+		t.Fatal("parked upload never took the inflight slot")
+	}
+
+	res, err := Run(spec, Schedule(spec), RunOptions{Addrs: addrs, SleepScale: 1, IOTimeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered != 1 || res.FailedSessions != 0 {
+		t.Fatalf("retrying client never delivered: %+v", res)
+	}
+	if res.Rejected == 0 {
+		t.Fatal("delivered on the first attempt; the budget hold never bit")
+	}
+	if f, err := proto.Decode(park); err != nil || f.Type != proto.TypeResult {
+		t.Fatalf("parked upload answered with %v, %v", f.Type, err)
+	}
+	st := s.Stats()
+	if st.Uploads != 2 {
+		t.Fatalf("uploads = %d, want 2 (parked + retried)", st.Uploads)
+	}
+	if st.Rejects != res.Rejected {
+		t.Fatalf("server rejects %d != client rejects %d", st.Rejects, res.Rejected)
 	}
 }

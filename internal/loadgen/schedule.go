@@ -153,9 +153,9 @@ func ScheduleParallel(spec LoadSpec, workers int) ([]Event, error) {
 	return all, nil
 }
 
-// ByHive regroups a sorted schedule into per-hive slices (index =
+// groupByHive regroups a sorted schedule into per-hive slices (index =
 // hive), each in time order — the shape the socket runner replays.
-func ByHive(spec LoadSpec, evs []Event) [][]Event {
+func groupByHive(spec LoadSpec, evs []Event) [][]Event {
 	out := make([][]Event, spec.Hives)
 	for _, ev := range evs {
 		out[ev.Hive] = append(out[ev.Hive], ev)

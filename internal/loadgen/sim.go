@@ -215,14 +215,14 @@ func simShard(spec LoadSpec, evs []Event, scale float64, inj *faults.Injector,
 		if needEntries {
 			t := CampaignStart.Add(end)
 			res.entries = append(res.entries, ledger.Entry{
-				T: t, Hive: HiveID(it.hive), Device: "edge", Component: "radio",
+				T: t, Hive: hiveID(it.hive), Device: "edge", Component: "radio",
 				Task: send.Name, Dir: ledger.Consume,
 				Joules:  float64(it.attempt) * float64(send.Energy),
 				Seconds: float64(it.attempt) * send.Duration.Seconds(),
 			})
 			if ok {
 				res.entries = append(res.entries, ledger.Entry{
-					T: t, Hive: HiveID(it.hive), Device: "cloud", Component: "server",
+					T: t, Hive: hiveID(it.hive), Device: "cloud", Component: "server",
 					Task: "upload burst", Dir: ledger.Consume,
 					Joules: burstJ, Seconds: serviceS,
 				})

@@ -238,9 +238,9 @@ func (s LoadSpec) Injector(start time.Time) (*faults.Injector, error) {
 	return faults.NewInjector(*s.Faults, start)
 }
 
-// HiveID names hive i on the wire; zero-padded so sorted output is
+// hiveID names hive i on the wire; zero-padded so sorted output is
 // stable at any fleet size the bounds allow.
-func HiveID(i int) string { return fmt.Sprintf("hive-%06d", i) }
+func hiveID(i int) string { return fmt.Sprintf("hive-%06d", i) }
 
 // CampaignStart anchors every virtual timestamp the generator emits.
 // A fixed instant (not wall clock) keeps schedules, frames and reports

@@ -103,8 +103,8 @@ func TestScheduleSeedSensitivity(t *testing.T) {
 }
 
 func TestHiveIDStable(t *testing.T) {
-	if got := HiveID(7); got != "hive-000007" {
-		t.Fatalf("HiveID(7) = %q", got)
+	if got := hiveID(7); got != "hive-000007" {
+		t.Fatalf("hiveID(7) = %q", got)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestTensorPanicsOnBadShape(t *testing.T) {
 
 func TestConvIdentityKernel(t *testing.T) {
 	r := rng.New(1)
-	conv := NewConv2D(1, 1, 3, 1, 1, r)
+	conv := newConv2D(1, 1, 3, 1, 1, r)
 	// Hand-set an identity kernel (center 1, rest 0) with zero bias.
 	for i := range conv.weight.Data {
 		conv.weight.Data[i] = 0
@@ -60,7 +60,7 @@ func TestConvIdentityKernel(t *testing.T) {
 
 func TestConvOutputShape(t *testing.T) {
 	r := rng.New(1)
-	conv := NewConv2D(3, 5, 3, 2, 1, r)
+	conv := newConv2D(3, 5, 3, 2, 1, r)
 	x := NewTensor(3, 9, 9)
 	y := conv.Forward(x)
 	if y.C != 5 || y.H != 5 || y.W != 5 {
@@ -79,10 +79,10 @@ func TestConvOutputShape(t *testing.T) {
 // tiny network on one example.
 func TestGradientCheck(t *testing.T) {
 	r := rng.New(3)
-	conv := NewConv2D(1, 2, 3, 1, 1, r)
-	dense := NewDense(2*4*4, 2, r)
-	relu := &ReLU{}
-	layers := []Layer{conv, relu, dense}
+	conv := newConv2D(1, 2, 3, 1, 1, r)
+	fc := newDense(2*4*4, 2, r)
+	act := &relu{}
+	layers := []Layer{conv, act, fc}
 
 	x := NewTensor(1, 4, 4)
 	for i := range x.Data {
@@ -95,7 +95,7 @@ func TestGradientCheck(t *testing.T) {
 		for _, l := range layers {
 			cur = l.Forward(cur)
 		}
-		probs := Softmax(cur.Data)
+		probs := softmax(cur.Data)
 		return -math.Log(probs[label])
 	}
 
@@ -104,7 +104,7 @@ func TestGradientCheck(t *testing.T) {
 	for _, l := range layers {
 		cur = l.Forward(cur)
 	}
-	probs := Softmax(cur.Data)
+	probs := softmax(cur.Data)
 	grad := NewTensor(2, 1, 1)
 	copy(grad.Data, probs)
 	grad.Data[label] -= 1
@@ -137,10 +137,10 @@ func TestGradientCheck(t *testing.T) {
 }
 
 func TestReLU(t *testing.T) {
-	relu := &ReLU{}
+	act := &relu{}
 	x := NewTensor(1, 1, 4)
 	copy(x.Data, []float64{-1, 0, 2, -3})
-	y := relu.Forward(x)
+	y := act.Forward(x)
 	want := []float64{0, 0, 2, 0}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -149,7 +149,7 @@ func TestReLU(t *testing.T) {
 	}
 	g := NewTensor(1, 1, 4)
 	copy(g.Data, []float64{1, 1, 1, 1})
-	dx := relu.Backward(g)
+	dx := act.Backward(g)
 	wantG := []float64{0, 0, 1, 0}
 	for i := range wantG {
 		if dx.Data[i] != wantG[i] {
@@ -159,7 +159,7 @@ func TestReLU(t *testing.T) {
 }
 
 func TestMaxPool(t *testing.T) {
-	p := &MaxPool2{}
+	p := &maxPool2{}
 	x := NewTensor(1, 2, 4)
 	copy(x.Data, []float64{1, 5, 3, 2, 4, 0, 7, 1})
 	y := p.Forward(x)
@@ -226,11 +226,11 @@ func TestFLOPsQuadraticInInputSide(t *testing.T) {
 }
 
 func TestSoftmax(t *testing.T) {
-	p := Softmax([]float64{1000, 1000}) // stability check
+	p := softmax([]float64{1000, 1000}) // stability check
 	if math.Abs(p[0]-0.5) > 1e-12 || math.IsNaN(p[0]) {
 		t.Fatalf("softmax = %v", p)
 	}
-	p = Softmax([]float64{0, math.Log(3)})
+	p = softmax([]float64{0, math.Log(3)})
 	if math.Abs(p[1]-0.75) > 1e-12 {
 		t.Fatalf("softmax = %v, want [0.25 0.75]", p)
 	}
@@ -344,11 +344,12 @@ func TestImageFromMatrix(t *testing.T) {
 }
 
 func TestNumParamsPositiveAndStable(t *testing.T) {
-	net, _ := New(DefaultConfig())
+	cfg := Config{InputSize: 100, Classes: 2, BaseChannels: 8, Seed: 1}
+	net, _ := New(cfg)
 	if net.NumParams() == 0 {
 		t.Fatal("no parameters")
 	}
-	if net.NumParams() != func() int { n, _ := New(DefaultConfig()); return n.NumParams() }() {
+	if net.NumParams() != func() int { n, _ := New(cfg); return n.NumParams() }() {
 		t.Fatal("parameter count unstable")
 	}
 	if net.InputSize() != 100 {
@@ -358,7 +359,7 @@ func TestNumParamsPositiveAndStable(t *testing.T) {
 
 func TestResidualIdentityAtZeroWeights(t *testing.T) {
 	r := rng.New(5)
-	block := NewResidual(2, r)
+	block := newResidual(2, r)
 	// Zero the branch: out = ReLU(x).
 	for _, p := range block.Params() {
 		for i := range p.Data {

@@ -7,8 +7,8 @@ import (
 	"beesim/internal/rng"
 )
 
-// Conv2D is a same- or valid-padded 2D convolution with square kernels.
-type Conv2D struct {
+// conv2D is a same- or valid-padded 2D convolution with square kernels.
+type conv2D struct {
 	InC, OutC int
 	Kernel    int
 	Stride    int
@@ -18,9 +18,9 @@ type Conv2D struct {
 	input     *Tensor
 }
 
-// NewConv2D creates a convolution with He-normal initialization.
-func NewConv2D(inC, outC, kernel, stride, pad int, r *rng.Source) *Conv2D {
-	c := &Conv2D{InC: inC, OutC: outC, Kernel: kernel, Stride: stride, Pad: pad}
+// newConv2D creates a convolution with He-normal initialization.
+func newConv2D(inC, outC, kernel, stride, pad int, r *rng.Source) *conv2D {
+	c := &conv2D{InC: inC, OutC: outC, Kernel: kernel, Stride: stride, Pad: pad}
 	c.weight = newParam(outC * inC * kernel * kernel)
 	c.bias = newParam(outC)
 	std := math.Sqrt(2.0 / float64(inC*kernel*kernel))
@@ -30,18 +30,18 @@ func NewConv2D(inC, outC, kernel, stride, pad int, r *rng.Source) *Conv2D {
 	return c
 }
 
-func (c *Conv2D) outSize(h, w int) (int, int) {
+func (c *conv2D) outSize(h, w int) (int, int) {
 	oh := (h+2*c.Pad-c.Kernel)/c.Stride + 1
 	ow := (w+2*c.Pad-c.Kernel)/c.Stride + 1
 	return oh, ow
 }
 
-func (c *Conv2D) wIdx(oc, ic, kh, kw int) int {
+func (c *conv2D) wIdx(oc, ic, kh, kw int) int {
 	return ((oc*c.InC+ic)*c.Kernel+kh)*c.Kernel + kw
 }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(x *Tensor) *Tensor {
+func (c *conv2D) Forward(x *Tensor) *Tensor {
 	if x.C != c.InC {
 		panic(fmt.Sprintf("cnn: conv expects %d channels, got %d", c.InC, x.C))
 	}
@@ -76,7 +76,7 @@ func (c *Conv2D) Forward(x *Tensor) *Tensor {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(grad *Tensor) *Tensor {
+func (c *conv2D) Backward(grad *Tensor) *Tensor {
 	x := c.input
 	dx := NewTensor(x.C, x.H, x.W)
 	for oc := 0; oc < c.OutC; oc++ {
@@ -111,22 +111,22 @@ func (c *Conv2D) Backward(grad *Tensor) *Tensor {
 }
 
 // Params implements Layer.
-func (c *Conv2D) Params() []*Param { return []*Param{c.weight, c.bias} }
+func (c *conv2D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
 // FLOPs implements Layer: 2 ops per multiply-accumulate.
-func (c *Conv2D) FLOPs(_, h, w int) (float64, int, int, int) {
+func (c *conv2D) FLOPs(_, h, w int) (float64, int, int, int) {
 	oh, ow := c.outSize(h, w)
 	per := float64(2 * c.InC * c.Kernel * c.Kernel)
 	return per * float64(c.OutC*oh*ow), c.OutC, oh, ow
 }
 
-// ReLU is the rectified linear activation.
-type ReLU struct {
+// relu is the rectified linear activation.
+type relu struct {
 	mask []bool
 }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *Tensor) *Tensor {
+func (r *relu) Forward(x *Tensor) *Tensor {
 	out := x.Clone()
 	r.mask = make([]bool, len(x.Data))
 	for i, v := range out.Data {
@@ -140,7 +140,7 @@ func (r *ReLU) Forward(x *Tensor) *Tensor {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(grad *Tensor) *Tensor {
+func (r *relu) Backward(grad *Tensor) *Tensor {
 	dx := grad.Clone()
 	for i := range dx.Data {
 		if !r.mask[i] {
@@ -151,22 +151,22 @@ func (r *ReLU) Backward(grad *Tensor) *Tensor {
 }
 
 // Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
+func (r *relu) Params() []*Param { return nil }
 
 // FLOPs implements Layer.
-func (r *ReLU) FLOPs(c, h, w int) (float64, int, int, int) {
+func (r *relu) FLOPs(c, h, w int) (float64, int, int, int) {
 	return float64(c * h * w), c, h, w
 }
 
-// MaxPool2 is a 2x2 max pooling with stride 2. Odd trailing rows/columns
+// maxPool2 is a 2x2 max pooling with stride 2. Odd trailing rows/columns
 // are dropped (floor semantics).
-type MaxPool2 struct {
+type maxPool2 struct {
 	input  *Tensor
 	argmax []int // flat input index chosen per output element
 }
 
 // Forward implements Layer.
-func (p *MaxPool2) Forward(x *Tensor) *Tensor {
+func (p *maxPool2) Forward(x *Tensor) *Tensor {
 	oh, ow := x.H/2, x.W/2
 	if oh == 0 || ow == 0 {
 		panic(fmt.Sprintf("cnn: input %dx%d too small to pool", x.H, x.W))
@@ -198,7 +198,7 @@ func (p *MaxPool2) Forward(x *Tensor) *Tensor {
 }
 
 // Backward implements Layer.
-func (p *MaxPool2) Backward(grad *Tensor) *Tensor {
+func (p *maxPool2) Backward(grad *Tensor) *Tensor {
 	dx := NewTensor(p.input.C, p.input.H, p.input.W)
 	for i, g := range grad.Data {
 		dx.Data[p.argmax[i]] += g
@@ -207,25 +207,25 @@ func (p *MaxPool2) Backward(grad *Tensor) *Tensor {
 }
 
 // Params implements Layer.
-func (p *MaxPool2) Params() []*Param { return nil }
+func (p *maxPool2) Params() []*Param { return nil }
 
 // FLOPs implements Layer.
-func (p *MaxPool2) FLOPs(c, h, w int) (float64, int, int, int) {
+func (p *maxPool2) FLOPs(c, h, w int) (float64, int, int, int) {
 	return float64(c * h * w), c, h / 2, w / 2
 }
 
-// Dense flattens its input and applies a fully connected map to n
+// dense flattens its input and applies a fully connected map to n
 // outputs (returned as an n x 1 x 1 tensor).
-type Dense struct {
+type dense struct {
 	In, Out int
 	weight  *Param // [out][in]
 	bias    *Param
 	input   *Tensor
 }
 
-// NewDense creates a fully connected layer with He initialization.
-func NewDense(in, out int, r *rng.Source) *Dense {
-	d := &Dense{In: in, Out: out}
+// newDense creates a fully connected layer with He initialization.
+func newDense(in, out int, r *rng.Source) *dense {
+	d := &dense{In: in, Out: out}
 	d.weight = newParam(in * out)
 	d.bias = newParam(out)
 	std := math.Sqrt(2.0 / float64(in))
@@ -236,7 +236,7 @@ func NewDense(in, out int, r *rng.Source) *Dense {
 }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *Tensor) *Tensor {
+func (d *dense) Forward(x *Tensor) *Tensor {
 	if len(x.Data) != d.In {
 		panic(fmt.Sprintf("cnn: dense expects %d inputs, got %d", d.In, len(x.Data)))
 	}
@@ -254,7 +254,7 @@ func (d *Dense) Forward(x *Tensor) *Tensor {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(grad *Tensor) *Tensor {
+func (d *dense) Backward(grad *Tensor) *Tensor {
 	dx := NewTensor(d.input.C, d.input.H, d.input.W)
 	for o := 0; o < d.Out; o++ {
 		g := grad.Data[o]
@@ -270,35 +270,35 @@ func (d *Dense) Backward(grad *Tensor) *Tensor {
 }
 
 // Params implements Layer.
-func (d *Dense) Params() []*Param { return []*Param{d.weight, d.bias} }
+func (d *dense) Params() []*Param { return []*Param{d.weight, d.bias} }
 
 // FLOPs implements Layer.
-func (d *Dense) FLOPs(_, _, _ int) (float64, int, int, int) {
+func (d *dense) FLOPs(_, _, _ int) (float64, int, int, int) {
 	return float64(2 * d.In * d.Out), d.Out, 1, 1
 }
 
-// Residual is a ResNet-style identity block: out = ReLU(x + g(x)) where
+// residual is a ResNet-style identity block: out = ReLU(x + g(x)) where
 // g is conv-ReLU-conv with channel-preserving 3x3 kernels — the
 // structural idea of the paper's ResNet18 at a size a Raspberry Pi model
 // sweep can afford.
-type Residual struct {
-	conv1, conv2 *Conv2D
-	relu1        *ReLU
+type residual struct {
+	conv1, conv2 *conv2D
+	relu1        *relu
 	sumInput     *Tensor // x, for the skip connection
 	preAct       *Tensor // x + g(x), for the outer ReLU mask
 }
 
-// NewResidual builds a residual block over ch channels.
-func NewResidual(ch int, r *rng.Source) *Residual {
-	return &Residual{
-		conv1: NewConv2D(ch, ch, 3, 1, 1, r),
-		conv2: NewConv2D(ch, ch, 3, 1, 1, r),
-		relu1: &ReLU{},
+// newResidual builds a residual block over ch channels.
+func newResidual(ch int, r *rng.Source) *residual {
+	return &residual{
+		conv1: newConv2D(ch, ch, 3, 1, 1, r),
+		conv2: newConv2D(ch, ch, 3, 1, 1, r),
+		relu1: &relu{},
 	}
 }
 
 // Forward implements Layer.
-func (b *Residual) Forward(x *Tensor) *Tensor {
+func (b *residual) Forward(x *Tensor) *Tensor {
 	b.sumInput = x
 	g := b.conv2.Forward(b.relu1.Forward(b.conv1.Forward(x)))
 	if !g.SameShape(x) {
@@ -319,7 +319,7 @@ func (b *Residual) Forward(x *Tensor) *Tensor {
 }
 
 // Backward implements Layer.
-func (b *Residual) Backward(grad *Tensor) *Tensor {
+func (b *residual) Backward(grad *Tensor) *Tensor {
 	// Through the outer ReLU.
 	dSum := grad.Clone()
 	for i := range dSum.Data {
@@ -338,12 +338,12 @@ func (b *Residual) Backward(grad *Tensor) *Tensor {
 }
 
 // Params implements Layer.
-func (b *Residual) Params() []*Param {
+func (b *residual) Params() []*Param {
 	return append(b.conv1.Params(), b.conv2.Params()...)
 }
 
 // FLOPs implements Layer.
-func (b *Residual) FLOPs(c, h, w int) (float64, int, int, int) {
+func (b *residual) FLOPs(c, h, w int) (float64, int, int, int) {
 	f1, c1, h1, w1 := b.conv1.FLOPs(c, h, w)
 	fr, _, _, _ := b.relu1.FLOPs(c1, h1, w1)
 	f2, c2, h2, w2 := b.conv2.FLOPs(c1, h1, w1)

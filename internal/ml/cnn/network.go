@@ -31,12 +31,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig is the reference queen-detection net at the paper's
-// optimal 100 x 100 input.
-func DefaultConfig() Config {
-	return Config{InputSize: 100, Classes: 2, BaseChannels: 8, Seed: 1}
-}
-
 // New builds the reference architecture: conv-ReLU-pool, conv-ReLU-pool,
 // residual block, pool, dense. Inputs smaller than 16 x 16 cannot survive
 // the three pooling stages.
@@ -60,15 +54,15 @@ func New(cfg Config) (*Network, error) {
 	s3 := s2 / 2 // after pool 3
 	n := &Network{classes: cfg.Classes, inC: 1, inSize: cfg.InputSize}
 	n.layers = []Layer{
-		NewConv2D(1, ch1, 3, 1, 1, r),
-		&ReLU{},
-		&MaxPool2{},
-		NewConv2D(ch1, ch2, 3, 1, 1, r),
-		&ReLU{},
-		&MaxPool2{},
-		NewResidual(ch2, r),
-		&MaxPool2{},
-		NewDense(ch2*s3*s3, cfg.Classes, r),
+		newConv2D(1, ch1, 3, 1, 1, r),
+		&relu{},
+		&maxPool2{},
+		newConv2D(ch1, ch2, 3, 1, 1, r),
+		&relu{},
+		&maxPool2{},
+		newResidual(ch2, r),
+		&maxPool2{},
+		newDense(ch2*s3*s3, cfg.Classes, r),
 	}
 	return n, nil
 }
@@ -89,8 +83,8 @@ func (n *Network) Forward(x *Tensor) []float64 {
 	return append([]float64(nil), cur.Data...)
 }
 
-// Softmax converts logits to probabilities (numerically stabilized).
-func Softmax(logits []float64) []float64 {
+// softmax converts logits to probabilities (numerically stabilized).
+func softmax(logits []float64) []float64 {
 	max := logits[0]
 	for _, v := range logits[1:] {
 		if v > max {
@@ -113,7 +107,7 @@ func Softmax(logits []float64) []float64 {
 // full backward pass, accumulating parameter gradients.
 func (n *Network) lossAndGrad(x *Tensor, label int) float64 {
 	logits := n.Forward(x)
-	probs := Softmax(logits)
+	probs := softmax(logits)
 	loss := -math.Log(math.Max(probs[label], 1e-12))
 	grad := NewTensor(n.classes, 1, 1)
 	for i, p := range probs {

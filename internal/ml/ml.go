@@ -164,8 +164,8 @@ func Accuracy(c Classifier, d *Dataset) float64 {
 	return float64(correct) / float64(d.Len())
 }
 
-// ConfusionMatrix counts predictions: element [true][predicted].
-func ConfusionMatrix(c Classifier, d *Dataset, classes int) [][]int {
+// confusionMatrix counts predictions: element [true][predicted].
+func confusionMatrix(c Classifier, d *Dataset, classes int) [][]int {
 	m := make([][]int, classes)
 	for i := range m {
 		m[i] = make([]int, classes)
@@ -190,7 +190,7 @@ type BinaryMetrics struct {
 
 // EvaluateBinary computes accuracy/precision/recall/F1 for a binary task.
 func EvaluateBinary(c Classifier, d *Dataset) BinaryMetrics {
-	cm := ConfusionMatrix(c, d, 2)
+	cm := confusionMatrix(c, d, 2)
 	tn, fp := float64(cm[0][0]), float64(cm[0][1])
 	fn, tp := float64(cm[1][0]), float64(cm[1][1])
 	total := tn + fp + fn + tp

@@ -140,7 +140,7 @@ func TestAccuracy(t *testing.T) {
 
 func TestConfusionMatrix(t *testing.T) {
 	d := toyData(t)
-	cm := ConfusionMatrix(threshold{}, d, 2)
+	cm := confusionMatrix(threshold{}, d, 2)
 	if cm[0][0] != 4 || cm[1][1] != 4 || cm[0][1] != 0 || cm[1][0] != 0 {
 		t.Fatalf("confusion = %v", cm)
 	}

@@ -4,7 +4,7 @@
 //
 // Section V fixes the hyper-parameters: "the SVM classifier is set with a
 // radial basis function kernel, a regularization parameter of 20, and a
-// kernel coefficient of 10^-5". PaperConfig reproduces them; GammaScale
+// kernel coefficient of 10^-5". paperConfig reproduces them; GammaScale
 // is available for standardized features, where the classical
 // 1/(dim * variance) heuristic is the sensible default.
 package svm
@@ -36,16 +36,16 @@ type Config struct {
 	Seed uint64
 }
 
-// PaperConfig returns the hyper-parameters of Section V (C = 20,
+// paperConfig returns the hyper-parameters of Section V (C = 20,
 // gamma = 1e-5), intended for raw (unstandardized) mel features.
-func PaperConfig() Config {
+func paperConfig() Config {
 	return Config{C: 20, Gamma: 1e-5, Tol: 1e-3, MaxPasses: 5, MaxIters: 200, Seed: 1}
 }
 
 // ScaleConfig returns C = 20 with the gamma-scale heuristic, the right
 // choice after ml.Scaler standardization.
 func ScaleConfig() Config {
-	cfg := PaperConfig()
+	cfg := paperConfig()
 	cfg.Gamma = 0
 	return cfg
 }

@@ -128,7 +128,7 @@ func TestDecisionSignMatchesPredict(t *testing.T) {
 }
 
 func TestPaperConfigValues(t *testing.T) {
-	cfg := PaperConfig()
+	cfg := paperConfig()
 	if cfg.C != 20 {
 		t.Errorf("C = %v, want 20 (paper)", cfg.C)
 	}

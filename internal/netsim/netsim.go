@@ -227,13 +227,3 @@ func (l *Link) ledgerTransfer(at time.Time, t Transfer) {
 		Joules: float64(t.ExtraEnergy), Seconds: t.Duration.Seconds(),
 	})
 }
-
-// ExpectedDuration returns the transfer time at exactly the nominal
-// throughput (no sampling), used by deterministic scenario tables.
-func (l *Link) ExpectedDuration(payload Bytes) time.Duration {
-	if payload < 0 {
-		payload = 0
-	}
-	return l.cfg.SetupTime +
-		time.Duration(float64(payload)/l.cfg.NominalThroughput*float64(time.Second))
-}

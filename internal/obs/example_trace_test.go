@@ -52,10 +52,8 @@ func Example_tracedUpload() {
 
 	// The exemplar near 8 s points back at the trace we just analyzed.
 	snap := m.Snapshot()
-	if hs, ok := snap.FindHistogram("upload_seconds"); ok {
-		if ex, ok := hs.ExemplarNear(8.0); ok {
-			fmt.Println("exemplar trace matches:", ex.TraceID == s.TraceID)
-		}
+	if hs, ok := snap.FindHistogram("upload_seconds"); ok && len(hs.Exemplars) == 1 {
+		fmt.Println("exemplar trace matches:", hs.Exemplars[0].TraceID == s.TraceID)
 	}
 	// Output:
 	// root "wake-up cycle" covers 100% of 8s

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -134,11 +135,10 @@ func TestExemplarsSurviveSnapshotJSON(t *testing.T) {
 	if !ok || len(hs.Exemplars) != 2 {
 		t.Fatalf("exemplars lost in JSON round trip: %+v", hs.Exemplars)
 	}
-	// ExemplarNear links a quantile estimate back to a trace.
+	// The exemplar links its value back to its trace.
 	want := scFor(9, "hive-2", 5).TraceHex()
-	e, ok := hs.ExemplarNear(40)
-	if !ok || e.TraceID != want || e.Value != 41.0 {
-		t.Fatalf("ExemplarNear(40) = %+v, want trace %s", e, want)
+	if i := slices.IndexFunc(hs.Exemplars, func(e ExemplarSnap) bool { return e.Value == 41.0 }); i < 0 || hs.Exemplars[i].TraceID != want {
+		t.Fatalf("exemplars = %+v, want 41 on trace %s", hs.Exemplars, want)
 	}
 	// Untraced histograms keep the old snapshot shape: no exemplars key.
 	r2 := NewRegistry()
@@ -149,17 +149,6 @@ func TestExemplarsSurviveSnapshotJSON(t *testing.T) {
 	}
 	if bytes.Contains(buf2.Bytes(), []byte("exemplars")) {
 		t.Fatalf("untraced snapshot must omit exemplars field:\n%s", buf2.String())
-	}
-}
-
-func TestExemplarNearEmpty(t *testing.T) {
-	var hs HistogramSnap
-	if _, ok := hs.ExemplarNear(1); ok {
-		t.Fatalf("empty snapshot must report no exemplar")
-	}
-	hs.Exemplars = []ExemplarSnap{{LE: "1", Value: 1, TraceID: "aa"}}
-	if _, ok := hs.ExemplarNear(math.NaN()); ok {
-		t.Fatalf("NaN lookup must report no exemplar")
 	}
 }
 

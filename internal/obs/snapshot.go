@@ -86,26 +86,6 @@ type HistogramSnap struct {
 	Exemplars []ExemplarSnap `json:"exemplars,omitempty"`
 }
 
-// ExemplarNear returns the exemplar whose value is closest to v — the
-// "show me a trace behind this quantile" lookup: pass a quantile
-// estimate and get a concrete trace ID from that neighborhood. Ties
-// break toward the smaller trace ID. ok=false when the snapshot holds
-// no exemplars or v is not finite.
-func (h HistogramSnap) ExemplarNear(v float64) (ExemplarSnap, bool) {
-	if len(h.Exemplars) == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return ExemplarSnap{}, false
-	}
-	best := h.Exemplars[0]
-	bestD := math.Abs(best.Value - v)
-	for _, e := range h.Exemplars[1:] {
-		d := math.Abs(e.Value - v)
-		if d < bestD || (d == bestD && e.TraceID < best.TraceID) {
-			best, bestD = e, d
-		}
-	}
-	return best, true
-}
-
 // Quantile computes the q-quantile (0 < q <= 1) from the exported
 // buckets by exact-count rank, exactly as Histogram.Quantile does live.
 // It works on snapshots loaded back from JSON too. The second return is

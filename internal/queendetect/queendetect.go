@@ -29,18 +29,12 @@ const (
 // NMels is the paper's mel band count.
 const NMels = 128
 
-// FrontEnd returns the shared memoized DSP plan of the paper's front
-// end (FFT 2048, hop 512, 128 bands) at the given sample rate: the
-// precomputed real-FFT tables, sparse mel filterbank and scratch
-// arenas every feature extraction below reuses.
-func FrontEnd(sampleRate int) (*dsp.Plan, error) {
-	return dsp.PlanFor(dsp.PaperSTFT(), NMels, sampleRate)
-}
-
-// Features computes the paper's front end for one clip: a mel
-// spectrogram (FFT 2048, hop 512, 128 bands) normalized to [0,1].
-func Features(clip []float64, sampleRate int) (*dsp.Matrix, error) {
-	plan, err := FrontEnd(sampleRate)
+// melFeatures computes the paper's front end for one clip: a mel
+// spectrogram (FFT 2048, hop 512, 128 bands) normalized to [0,1]. The
+// memoized plan holds the real-FFT tables, sparse mel filterbank and
+// scratch arenas every extraction at this sample rate reuses.
+func melFeatures(clip []float64, sampleRate int) (*dsp.Matrix, error) {
+	plan, err := dsp.PlanFor(dsp.PaperSTFT(), NMels, sampleRate)
 	if err != nil {
 		return nil, fmt.Errorf("queendetect: features: %w", err)
 	}
@@ -55,7 +49,7 @@ func Features(clip []float64, sampleRate int) (*dsp.Matrix, error) {
 // VectorFeatures returns the SVM's input: the time-pooled mel vector
 // ("vector features are passed as is for the training phase of the SVM").
 func VectorFeatures(clip []float64, sampleRate int) ([]float64, error) {
-	mel, err := Features(clip, sampleRate)
+	mel, err := melFeatures(clip, sampleRate)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +60,7 @@ func VectorFeatures(clip []float64, sampleRate int) ([]float64, error) {
 // square size x size image ("they are converted into images for the CNN
 // model").
 func ImageFeatures(clip []float64, sampleRate, size int) (*dsp.Matrix, error) {
-	mel, err := Features(clip, sampleRate)
+	mel, err := melFeatures(clip, sampleRate)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func testCorpus(t *testing.T, n int) []audio.LabeledClip {
 
 func TestFeaturesShape(t *testing.T) {
 	corpus := testCorpus(t, 2)
-	mel, err := Features(corpus[0].Samples, audio.SampleRate)
+	mel, err := melFeatures(corpus[0].Samples, audio.SampleRate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,8 @@ func TestCNNEnergyGrowsWithSize(t *testing.T) {
 func TestFeatureErrorPaths(t *testing.T) {
 	// Clips shorter than one STFT window are rejected end to end.
 	short := make([]float64, 100)
-	if _, err := Features(short, audio.SampleRate); err == nil {
-		t.Error("short clip accepted by Features")
+	if _, err := melFeatures(short, audio.SampleRate); err == nil {
+		t.Error("short clip accepted by melFeatures")
 	}
 	if _, err := VectorFeatures(short, audio.SampleRate); err == nil {
 		t.Error("short clip accepted by VectorFeatures")

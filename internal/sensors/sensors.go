@@ -1,9 +1,5 @@
-// Package sensors models the measurement hardware of the smart beehive:
-// the SHT31 temperature/humidity sensor on the queen excluder, the three
-// ±5 A current sensors on the Pi Zero's Grove hat, the USB microphones
-// and the camera module at the hive entrance.
-//
-// Each sensor samples the ground truth (hive state, electrical state)
+// Package sensors models the smart beehive's SHT31 temperature/humidity
+// sensor on the queen excluder. It samples the ground-truth hive state
 // with its datasheet accuracy as additive noise, and reports the read
 // latency and electrical draw that the routine model charges to the edge
 // device's energy budget.
@@ -63,79 +59,4 @@ func (s *SHT31) Read(t time.Time, st hive.State) (temp, rh Reading) {
 		rh.Value = 1
 	}
 	return temp, rh
-}
-
-// CurrentSensor is one ±5 A DC/AC Grove current sensor. The deployment
-// uses three: both Pis' supplies and the panel-to-battery wire.
-type CurrentSensor struct {
-	FullScale units.Amperes
-	Accuracy  units.Amperes // 1-sigma noise
-	r         *rng.Source
-}
-
-// NewCurrentSensor creates a ±5 A sensor.
-func NewCurrentSensor(seed uint64) *CurrentSensor {
-	return &CurrentSensor{FullScale: 5, Accuracy: 0.02, r: rng.New(seed)}
-}
-
-// Read samples a true current, clipping at the sensor's full scale.
-func (c *CurrentSensor) Read(t time.Time, true_ units.Amperes) Reading {
-	v := float64(true_) + c.r.Gaussian(0, float64(c.Accuracy))
-	if v > float64(c.FullScale) {
-		v = float64(c.FullScale)
-	}
-	if v < -float64(c.FullScale) {
-		v = -float64(c.FullScale)
-	}
-	return Reading{Time: t, Value: v, Unit: "A"}
-}
-
-// ReadPower converts a supply current reading at 5 V into watts, which is
-// how the deployment derives the power traces of Figure 2.
-func (c *CurrentSensor) ReadPower(t time.Time, truePower units.Watts) Reading {
-	i := units.Amperes(float64(truePower) / 5.0)
-	r := c.Read(t, i)
-	return Reading{Time: t, Value: r.Value * 5.0, Unit: "W"}
-}
-
-// Microphone is a USB microphone (20 Hz – 16 kHz response).
-type Microphone struct {
-	SampleRate int
-	Draw       units.Watts
-}
-
-// NewMicrophone returns the deployed USB microphone model sampling at the
-// paper's 22 050 Hz.
-func NewMicrophone() *Microphone {
-	return &Microphone{SampleRate: 22050, Draw: 0.25}
-}
-
-// CaptureCost returns the time and energy to record one clip of the given
-// length (three are captured simultaneously in the routine; each mic
-// draws its own power).
-func (m *Microphone) CaptureCost(clip time.Duration) (time.Duration, units.Joules) {
-	return clip, m.Draw.Energy(clip)
-}
-
-// Camera is the Raspberry Pi camera module 2 at the hive entrance.
-type Camera struct {
-	Width, Height int
-	Draw          units.Watts
-	PerShot       time.Duration
-}
-
-// NewCamera returns the module configured for the routine's 800x600
-// captures.
-func NewCamera() *Camera {
-	return &Camera{Width: 800, Height: 600, Draw: 1.2, PerShot: time.Second}
-}
-
-// BurstCost returns the time and energy for n shots spread evenly over
-// the burst (the routine takes 5 shots over 5 s).
-func (c *Camera) BurstCost(n int) (time.Duration, units.Joules) {
-	if n <= 0 {
-		return 0, 0
-	}
-	d := time.Duration(n) * c.PerShot
-	return d, c.Draw.Energy(d)
 }

@@ -7,7 +7,6 @@ import (
 
 	"beesim/internal/hive"
 	"beesim/internal/stats"
-	"beesim/internal/units"
 )
 
 var t0 = time.Date(2023, 4, 15, 12, 0, 0, 0, time.UTC)
@@ -60,77 +59,5 @@ func TestSHT31RHClamped(t *testing.T) {
 		if _, rh := s.Read(t0, st); rh.Value > 1 || rh.Value < 0 {
 			t.Fatalf("RH %v escaped [0,1]", rh.Value)
 		}
-	}
-}
-
-func TestCurrentSensorClipsAtFullScale(t *testing.T) {
-	c := NewCurrentSensor(3)
-	for i := 0; i < 1000; i++ {
-		if r := c.Read(t0, 12); r.Value > 5 {
-			t.Fatalf("reading %v above +5 A full scale", r.Value)
-		}
-		if r := c.Read(t0, -12); r.Value < -5 {
-			t.Fatalf("reading %v below -5 A full scale", r.Value)
-		}
-	}
-}
-
-func TestCurrentSensorUnbiased(t *testing.T) {
-	c := NewCurrentSensor(4)
-	var o stats.Online
-	for i := 0; i < 5000; i++ {
-		o.Add(c.Read(t0, 0.43).Value)
-	}
-	if math.Abs(o.Mean()-0.43) > 0.005 {
-		t.Fatalf("current mean = %v, want 0.43", o.Mean())
-	}
-}
-
-func TestReadPowerRoundTrip(t *testing.T) {
-	c := NewCurrentSensor(5)
-	var o stats.Online
-	for i := 0; i < 5000; i++ {
-		r := c.ReadPower(t0, units.Watts(2.14))
-		if r.Unit != "W" {
-			t.Fatalf("unit = %q", r.Unit)
-		}
-		o.Add(r.Value)
-	}
-	if math.Abs(o.Mean()-2.14) > 0.02 {
-		t.Fatalf("power mean = %v, want 2.14", o.Mean())
-	}
-}
-
-func TestMicrophoneCaptureCost(t *testing.T) {
-	m := NewMicrophone()
-	if m.SampleRate != 22050 {
-		t.Fatalf("sample rate = %d, want 22050 (paper)", m.SampleRate)
-	}
-	d, e := m.CaptureCost(10 * time.Second)
-	if d != 10*time.Second {
-		t.Fatalf("capture duration = %v", d)
-	}
-	if math.Abs(float64(e)-2.5) > 1e-9 {
-		t.Fatalf("capture energy = %v, want 2.5 J", e)
-	}
-}
-
-func TestCameraBurstCost(t *testing.T) {
-	c := NewCamera()
-	if c.Width != 800 || c.Height != 600 {
-		t.Fatalf("resolution = %dx%d, want 800x600", c.Width, c.Height)
-	}
-	d, e := c.BurstCost(5)
-	if d != 5*time.Second {
-		t.Fatalf("burst duration = %v, want 5 s (paper)", d)
-	}
-	if math.Abs(float64(e)-6.0) > 1e-9 {
-		t.Fatalf("burst energy = %v, want 6 J", e)
-	}
-	if d, e := c.BurstCost(0); d != 0 || e != 0 {
-		t.Fatal("zero shots must cost nothing")
-	}
-	if d, e := c.BurstCost(-3); d != 0 || e != 0 {
-		t.Fatal("negative shots must cost nothing")
 	}
 }

@@ -251,14 +251,6 @@ type PlacementPlan struct {
 // once, and a single sleep fills the remainder — the multi-service
 // generalization of the paper's single-service comparison.
 func PlanBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses) (PlacementPlan, error) {
-	return planBundle(b, n, spec, l, nil)
-}
-
-// planBundle is the shared planner: with dl nil every upload succeeds
-// first try (the paper's assumption); with dl set each cloud-placement
-// candidate carries the degraded link's expected retry tax, both when
-// choosing the placement and when pricing the chosen plan.
-func planBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses, dl *DegradedLink) (PlacementPlan, error) {
 	if err := b.Validate(); err != nil {
 		return PlacementPlan{}, err
 	}
@@ -290,16 +282,6 @@ func planBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses, dl *Degrad
 		if err != nil {
 			return PlacementPlan{}, err
 		}
-		var tax units.Joules
-		if dl != nil {
-			dur, _, err := p.TransferCost()
-			if err != nil {
-				return PlacementPlan{}, err
-			}
-			fallback, _ := p.EdgeCost()
-			tax = dl.Tax(sendPower.Energy(dur), fallback)
-			svc.EdgeCloudCycle += tax //beelint:allow accumfloat svc is loop-local, one addition per iteration, never carried across iterations
-		}
 		rec, err := core.Recommend(n, spec, svc, l)
 		if err != nil {
 			return PlacementPlan{}, err
@@ -310,7 +292,7 @@ func planBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses, dl *Degrad
 			if err != nil {
 				return PlacementPlan{}, err
 			}
-			upload := sendPower.Energy(dur) + tax
+			upload := sendPower.Energy(dur)
 			activeEnergy += upload //beelint:allow accumfloat loop bounded by the service catalog (4 kinds); error far below audit tolerance
 			activeDur += dur
 			plan.PerService[k] = upload

@@ -34,19 +34,19 @@ var (
 
 const solarConstant = 1361 // W/m^2, extraterrestrial flux
 
-// Declination returns the solar declination in radians for a day of year
+// declination returns the solar declination in radians for a day of year
 // (1-based), using Cooper's formula.
-func Declination(dayOfYear int) float64 {
+func declination(dayOfYear int) float64 {
 	return 23.45 * math.Pi / 180 *
 		math.Sin(2*math.Pi*float64(284+dayOfYear)/365)
 }
 
-// Elevation returns the solar elevation angle in radians at the location
+// elevation returns the solar elevation angle in radians at the location
 // and instant t (interpreted via the location's fixed UTC offset).
-func Elevation(loc Location, t time.Time) float64 {
+func elevation(loc Location, t time.Time) float64 {
 	ut := t.UTC()
 	doy := ut.YearDay()
-	decl := Declination(doy)
+	decl := declination(doy)
 	// Local solar time: civil time corrected by longitude within the zone.
 	// (Equation-of-time is < 17 min and irrelevant to the figure's shape.)
 	civilHour := float64(ut.Hour()) + float64(ut.Minute())/60 +
@@ -58,11 +58,11 @@ func Elevation(loc Location, t time.Time) float64 {
 	return math.Asin(clamp(sinEl, -1, 1))
 }
 
-// ClearSkyIrradiance returns the global horizontal irradiance under a
+// clearSkyIrradiance returns the global horizontal irradiance under a
 // cloudless sky at the location and instant, using the standard
 // 0.7^(AM^0.678) atmospheric transmission with the Kasten-Young air mass.
-func ClearSkyIrradiance(loc Location, t time.Time) units.WattsPerSquareMeter {
-	el := Elevation(loc, t)
+func clearSkyIrradiance(loc Location, t time.Time) units.WattsPerSquareMeter {
+	el := elevation(loc, t)
 	if el <= 0 {
 		return 0
 	}
@@ -80,7 +80,7 @@ func ClearSkyIrradiance(loc Location, t time.Time) units.WattsPerSquareMeter {
 // 1 - 0.75*cover^3.4.
 func Irradiance(loc Location, t time.Time, cloudCover float64) units.WattsPerSquareMeter {
 	cover := clamp(cloudCover, 0, 1)
-	clear := ClearSkyIrradiance(loc, t)
+	clear := clearSkyIrradiance(loc, t)
 	return units.WattsPerSquareMeter(float64(clear) * (1 - 0.75*math.Pow(cover, 3.4)))
 }
 
@@ -155,11 +155,6 @@ func (m *Meter) Record(t time.Time, p units.Watts, d time.Duration) {
 		Task: "panel output", Dir: ledger.Harvest,
 		Joules: float64(p.Energy(d)), Seconds: d.Seconds(),
 	})
-}
-
-// Daylight reports whether the sun is above the horizon at the location.
-func Daylight(loc Location, t time.Time) bool {
-	return Elevation(loc, t) > 0
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -16,25 +16,25 @@ var (
 
 func TestDeclinationRange(t *testing.T) {
 	for d := 1; d <= 365; d++ {
-		decl := Declination(d) * 180 / math.Pi
+		decl := declination(d) * 180 / math.Pi
 		if decl < -23.46 || decl > 23.46 {
 			t.Fatalf("declination day %d = %v°, out of ±23.45", d, decl)
 		}
 	}
 	// Summer solstice ~ +23.45°, winter ~ -23.45°.
-	if decl := Declination(172) * 180 / math.Pi; decl < 23.3 {
+	if decl := declination(172) * 180 / math.Pi; decl < 23.3 {
 		t.Errorf("solstice declination = %v°, want ~23.45", decl)
 	}
-	if decl := Declination(355) * 180 / math.Pi; decl > -23.3 {
+	if decl := declination(355) * 180 / math.Pi; decl > -23.3 {
 		t.Errorf("winter declination = %v°, want ~-23.45", decl)
 	}
 }
 
 func TestElevationDayNight(t *testing.T) {
-	if el := Elevation(Cachan, noon); el <= 0 {
+	if el := elevation(Cachan, noon); el <= 0 {
 		t.Fatalf("noon elevation = %v rad, want > 0", el)
 	}
-	if el := Elevation(Cachan, midnight); el >= 0 {
+	if el := elevation(Cachan, midnight); el >= 0 {
 		t.Fatalf("midnight elevation = %v rad, want < 0", el)
 	}
 }
@@ -44,7 +44,7 @@ func TestElevationPeaksNearNoon(t *testing.T) {
 	bestHour := -1
 	for h := 0; h < 24; h++ {
 		tt := time.Date(2023, 4, 15, h, 0, 0, 0, time.UTC)
-		if el := Elevation(Cachan, tt); el > best {
+		if el := elevation(Cachan, tt); el > best {
 			best = el
 			bestHour = h
 		}
@@ -56,11 +56,11 @@ func TestElevationPeaksNearNoon(t *testing.T) {
 }
 
 func TestClearSkyIrradiance(t *testing.T) {
-	irr := ClearSkyIrradiance(Cachan, noon)
+	irr := clearSkyIrradiance(Cachan, noon)
 	if irr < 500 || irr > 1100 {
 		t.Fatalf("spring noon GHI = %v, want 500-1100 W/m²", irr)
 	}
-	if irr := ClearSkyIrradiance(Cachan, midnight); irr != 0 {
+	if irr := clearSkyIrradiance(Cachan, midnight); irr != 0 {
 		t.Fatalf("midnight GHI = %v, want 0", irr)
 	}
 }
@@ -68,7 +68,7 @@ func TestClearSkyIrradiance(t *testing.T) {
 func TestLyonVsCachan(t *testing.T) {
 	// Lyon is ~3° further south: higher sun at local solar noon.
 	lyonNoon := time.Date(2023, 4, 15, 10, 40, 0, 0, time.UTC)
-	if Elevation(Lyon, lyonNoon) <= Elevation(Cachan, noon)-0.2 {
+	if elevation(Lyon, lyonNoon) <= elevation(Cachan, noon)-0.2 {
 		t.Fatal("Lyon noon sun unexpectedly much lower than Cachan")
 	}
 }
@@ -123,21 +123,12 @@ func TestPanelClampsAtRated(t *testing.T) {
 	}
 }
 
-func TestDaylight(t *testing.T) {
-	if !Daylight(Cachan, noon) {
-		t.Fatal("noon reported as night")
-	}
-	if Daylight(Cachan, midnight) {
-		t.Fatal("midnight reported as day")
-	}
-}
-
 func TestDaylightHoursSpring(t *testing.T) {
 	// Mid-April at 48.8°N has roughly 13-14 daylight hours.
 	hours := 0
 	for h := 0; h < 24; h++ {
 		tt := time.Date(2023, 4, 15, h, 30, 0, 0, time.UTC)
-		if Daylight(Cachan, tt) {
+		if elevation(Cachan, tt) > 0 {
 			hours++
 		}
 	}
@@ -148,8 +139,8 @@ func TestDaylightHoursSpring(t *testing.T) {
 
 func TestIrradianceContinuityAcrossDays(t *testing.T) {
 	// The model must not jump discontinuously at midnight rollovers.
-	a := ClearSkyIrradiance(Cachan, time.Date(2023, 4, 15, 23, 59, 0, 0, time.UTC))
-	b := ClearSkyIrradiance(Cachan, time.Date(2023, 4, 16, 0, 1, 0, 0, time.UTC))
+	a := clearSkyIrradiance(Cachan, time.Date(2023, 4, 15, 23, 59, 0, 0, time.UTC))
+	b := clearSkyIrradiance(Cachan, time.Date(2023, 4, 16, 0, 1, 0, 0, time.UTC))
 	if a != 0 || b != 0 {
 		t.Fatalf("irradiance around midnight = %v, %v, want 0, 0", a, b)
 	}

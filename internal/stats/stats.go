@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used to summarize
-// beesim's measurement campaigns: online moments (Welford), percentiles,
-// histograms, least-squares fits and series crossover detection.
+// beesim's measurement campaigns: online moments (Welford), percentiles
+// and series crossover detection.
 //
 // Section IV of the paper reports the 319-routine campaign through exactly
 // these summaries (mean routine length 1 m 29 s, sigma 3.5 s; mean power
@@ -90,27 +90,6 @@ func (o *Online) Merge(p *Online) {
 	o.n, o.mean, o.m2 = n, mean, m2
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the unbiased standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	return o.StdDev()
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between closest ranks. It returns an error for empty input
 // or out-of-range p.
@@ -134,136 +113,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Histogram is a fixed-width binning of observations over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram creates a histogram with n equal bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add places one observation. Values outside [Lo, Hi) are tallied in
-// separate under/overflow counters rather than clamped.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard against FP rounding at the top edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// LinearFit returns the least-squares line y = a + b*x through the points,
-// plus the coefficient of determination r2. It returns an error when fewer
-// than two points or a degenerate x spread make the fit ill-defined.
-func LinearFit(xs, ys []float64) (a, b, r2 float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, 0, errors.New("stats: mismatched fit inputs")
-	}
-	if len(xs) < 2 {
-		return 0, 0, 0, errors.New("stats: fit needs at least two points")
-	}
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy, syy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-		syy += ys[i] * ys[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, 0, errors.New("stats: degenerate x values")
-	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
-	ssTot := syy - sy*sy/n
-	if ssTot == 0 {
-		return a, b, 1, nil
-	}
-	var ssRes float64
-	for i := range xs {
-		r := ys[i] - (a + b*xs[i])
-		ssRes += r * r
-	}
-	r2 = 1 - ssRes/ssTot
-	return a, b, r2, nil
-}
-
-// PolyFit2 fits y = c0 + c1*x + c2*x^2 by solving the 3x3 normal equations.
-// Figure 5's claim that inference energy grows quadratically with pixel
-// count is verified with this fit.
-func PolyFit2(xs, ys []float64) (c [3]float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 3 {
-		return c, errors.New("stats: quadratic fit needs >= 3 matched points")
-	}
-	// Normal equations: (X^T X) c = X^T y with X rows [1 x x^2].
-	var m [3][4]float64
-	for i := range xs {
-		x := xs[i]
-		row := [3]float64{1, x, x * x}
-		for r := 0; r < 3; r++ {
-			for cidx := 0; cidx < 3; cidx++ {
-				m[r][cidx] += row[r] * row[cidx]
-			}
-			m[r][3] += row[r] * ys[i]
-		}
-	}
-	// Gaussian elimination with partial pivoting.
-	for col := 0; col < 3; col++ {
-		piv := col
-		for r := col + 1; r < 3; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
-				piv = r
-			}
-		}
-		m[col], m[piv] = m[piv], m[col]
-		if math.Abs(m[col][col]) < 1e-12 {
-			return c, errors.New("stats: singular quadratic fit")
-		}
-		for r := 0; r < 3; r++ {
-			if r == col {
-				continue
-			}
-			f := m[r][col] / m[col][col]
-			for k := col; k < 4; k++ {
-				m[r][k] -= f * m[col][k]
-			}
-		}
-	}
-	for i := 0; i < 3; i++ {
-		c[i] = m[i][3] / m[i][i]
-	}
-	return c, nil
 }
 
 // Crossover is a point where series a overtakes series b (or vice versa).
@@ -295,26 +144,4 @@ func Crossovers(xs, a, b []float64) ([]Crossover, error) {
 		}
 	}
 	return out, nil
-}
-
-// ArgMax returns the index of the largest element, or -1 for empty input.
-func ArgMax(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if best == -1 || x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element, or -1 for empty input.
-func ArgMin(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if best == -1 || x < xs[best] {
-			best = i
-		}
-	}
-	return best
 }

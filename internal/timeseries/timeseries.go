@@ -3,10 +3,9 @@
 // humidity, battery state of charge, and the weather trace.
 //
 // Figure 2 of the paper plots a full week of such series at once; this
-// package provides the container plus the resampling/windowing operations
-// needed to turn a high-rate simulation trace into the figure's
-// per-interval summaries, and a CSV codec so every figure can be exported
-// for external plotting.
+// package provides the container, the windowing operations the figure
+// needs, and a CSV writer so every figure can be exported for external
+// plotting.
 package timeseries
 
 import (
@@ -109,91 +108,6 @@ func (s *Series) Slice(start, end time.Time) *Series {
 	return out
 }
 
-// Agg selects how Resample combines the points falling in a window.
-type Agg int
-
-// Aggregation modes.
-const (
-	AggMean Agg = iota
-	AggSum
-	AggMax
-	AggMin
-	AggLast
-	AggCount
-)
-
-// Resample buckets the series into fixed windows of width w starting at
-// the first observation and combines each bucket with the aggregation
-// mode. Empty windows are skipped (the simulated system is off at night;
-// Figure 2 shows gaps, not zeros). The output point carries the window
-// start time.
-func (s *Series) Resample(w time.Duration, mode Agg) (*Series, error) {
-	if w <= 0 {
-		return nil, errors.New("timeseries: non-positive resample window")
-	}
-	out := New(s.Name, s.Unit)
-	if len(s.points) == 0 {
-		return out, nil
-	}
-	origin := s.points[0].T
-	i := 0
-	for i < len(s.points) {
-		bucket := s.points[i].T.Sub(origin) / w
-		start := origin.Add(bucket * w)
-		end := start.Add(w)
-		var sum, max, min, last float64
-		count := 0
-		for i < len(s.points) && s.points[i].T.Before(end) {
-			v := s.points[i].V
-			if count == 0 {
-				max, min = v, v
-			} else {
-				if v > max {
-					max = v
-				}
-				if v < min {
-					min = v
-				}
-			}
-			sum += v
-			last = v
-			count++
-			i++
-		}
-		var v float64
-		switch mode {
-		case AggMean:
-			v = sum / float64(count)
-		case AggSum:
-			v = sum
-		case AggMax:
-			v = max
-		case AggMin:
-			v = min
-		case AggLast:
-			v = last
-		case AggCount:
-			v = float64(count)
-		default:
-			return nil, fmt.Errorf("timeseries: unknown aggregation %d", mode)
-		}
-		out.points = append(out.points, Point{T: start, V: v})
-	}
-	return out, nil
-}
-
-// Integrate returns the trapezoidal integral of the series over its span,
-// in value-seconds. Integrating a power series (watts) yields joules,
-// which is how trace energies are computed from sampled power.
-func (s *Series) Integrate() float64 {
-	var total float64
-	for i := 1; i < len(s.points); i++ {
-		dt := s.points[i].T.Sub(s.points[i-1].T).Seconds()
-		total += (s.points[i].V + s.points[i-1].V) / 2 * dt
-	}
-	return total
-}
-
 // Gaps returns the intervals between consecutive points longer than min.
 // Figure 2a's night-time outages appear as such gaps.
 func (s *Series) Gaps(min time.Duration) []struct{ Start, End time.Time } {
@@ -252,35 +166,4 @@ func WriteCSV(w io.Writer, series ...*Series) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV reads a single-series CSV previously produced by WriteCSV with
-// one series (time + one value column).
-func ReadCSV(r io.Reader) (*Series, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, errors.New("timeseries: empty CSV")
-	}
-	if len(rows[0]) != 2 {
-		return nil, fmt.Errorf("timeseries: want 2 columns, got %d", len(rows[0]))
-	}
-	s := New(rows[0][1], "")
-	for _, row := range rows[1:] {
-		t, err := time.Parse(time.RFC3339Nano, row[0])
-		if err != nil {
-			return nil, fmt.Errorf("timeseries: bad timestamp %q: %w", row[0], err)
-		}
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("timeseries: bad value %q: %w", row[1], err)
-		}
-		if err := s.Append(t, v); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }

@@ -56,21 +56,6 @@ func TestWattHoursConversion(t *testing.T) {
 	}
 }
 
-func TestElectricalPower(t *testing.T) {
-	p := Power(Volts(5), Amperes(0.43))
-	if !almostEq(float64(p), 2.15, 1e-9) {
-		t.Fatalf("5 V * 0.43 A = %v, want 2.15 W", p)
-	}
-}
-
-func TestBatteryEnergy(t *testing.T) {
-	// 20 000 mAh power bank at 3.7 V nominal cell voltage.
-	wh := AmpereHours(20).Energy(Volts(3.7))
-	if !almostEq(float64(wh), 74, 1e-9) {
-		t.Fatalf("20 Ah at 3.7 V = %v, want 74 Wh", wh)
-	}
-}
-
 func TestHumidityClamp(t *testing.T) {
 	cases := []struct{ in, want RelativeHumidity }{
 		{-0.5, 0}, {0, 0}, {0.42, 0.42}, {1, 1}, {1.7, 1},

@@ -14,6 +14,7 @@ import (
 	"beesim/internal/dsp"
 	"beesim/internal/experiments"
 	"beesim/internal/optimizer"
+	"beesim/internal/parallel"
 	"beesim/internal/rng"
 	"beesim/internal/services"
 )
@@ -80,7 +81,16 @@ func benchClip(b *testing.B) []float64 {
 	return corpus[0].Samples
 }
 
+// serialFrames pins dsp's frame fan-out, which otherwise sizes itself
+// by the machine's CPU count, to one worker for the rest of the
+// benchmark, so allocs/op match the baselines on any machine.
+func serialFrames(b *testing.B) {
+	parallel.SetDefault(1)
+	b.Cleanup(func() { parallel.SetDefault(0) })
+}
+
 func benchMel(b *testing.B, cold bool) {
+	serialFrames(b)
 	clip := benchClip(b)
 	cfg := dsp.PaperSTFT()
 	if _, err := dsp.MelSpectrogram(clip, cfg, 128, 22050); err != nil { // warm once
@@ -110,6 +120,7 @@ func BenchmarkMelSpectrogramCached(b *testing.B) { benchMel(b, false) }
 // configuration of a per-clip feature loop. The gap to Cached is the
 // remaining per-call cost of the memo lookups and output allocation.
 func BenchmarkMelSpectrogramPlan(b *testing.B) {
+	serialFrames(b)
 	clip := benchClip(b)
 	plan, err := dsp.PlanFor(dsp.PaperSTFT(), 128, 22050)
 	if err != nil {
