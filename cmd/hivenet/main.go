@@ -31,8 +31,8 @@ import (
 	"beesim/internal/hivenet"
 	"beesim/internal/ledger"
 	"beesim/internal/obs"
-	"beesim/internal/slo"
 	"beesim/internal/routine"
+	"beesim/internal/slo"
 )
 
 func main() {

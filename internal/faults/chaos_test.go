@@ -85,7 +85,7 @@ func chaosPlans() map[string]faults.Plan {
 		Multiplier: 3, JitterFrac: 0.5, AttemptTimeout: 2 * time.Second,
 	}
 	return map[string]faults.Plan{
-		"empty": {},
+		"empty":      {},
 		"lossy link": {Seed: 11, Link: faults.LinkFaults{DropProb: 0.3}},
 		"outage plus burst": {Seed: 12, Link: faults.LinkFaults{
 			DropProb: 0.1,

@@ -165,10 +165,10 @@ func TestRetryPolicyJSONRoundTrip(t *testing.T) {
 
 func TestRetryPolicyJSONRejects(t *testing.T) {
 	cases := []string{
-		`{"max_attempts": 4, "base_s": 1e300}`,              // overflows a duration
-		`{"max_attempts": 4, "unknown": 1}`,                 // unknown field
-		`{"max_attempts": 4, "base_s": "2"}`,                // wrong type
-		`{"max_attempts": 4, "attempt_timeout_s": -1e300}`,  // overflow, negative
+		`{"max_attempts": 4, "base_s": 1e300}`,             // overflows a duration
+		`{"max_attempts": 4, "unknown": 1}`,                // unknown field
+		`{"max_attempts": 4, "base_s": "2"}`,               // wrong type
+		`{"max_attempts": 4, "attempt_timeout_s": -1e300}`, // overflow, negative
 	}
 	for _, src := range cases {
 		var p RetryPolicy

@@ -33,7 +33,6 @@ func admissionServerConfig(stall time.Duration) ServerConfig {
 	cfg.Admission = AdmissionConfig{
 		MaxInflightUploads: 1,
 		UploadStall:        stall,
-		RetryAfter:         10 * time.Millisecond,
 	}
 	return cfg
 }
@@ -130,9 +129,6 @@ func TestAdmissionRejectOnWire(t *testing.T) {
 	}
 	if rej.Code != proto.RejectOverCapacity {
 		t.Fatalf("reject code %q", rej.Code)
-	}
-	if rej.RetryAfterS <= 0 {
-		t.Fatal("reject carries no retry-after hint")
 	}
 
 	// The session survives the reject: the same connection can still

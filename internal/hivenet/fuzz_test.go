@@ -132,7 +132,6 @@ func fuzzAdmissionSetup() error {
 			cfg.Admission = AdmissionConfig{
 				MaxInflightUploads: 1,
 				MaxArchiveRecords:  8,
-				RetryAfter:         time.Second,
 			}
 			return NewServer("127.0.0.1:0", cfg)
 		}

@@ -49,9 +49,6 @@ type AdmissionConfig struct {
 	// the oldest records are shed (counted by
 	// hivenet_archive_shed_total). 0 = unbounded.
 	MaxArchiveRecords int
-	// RetryAfter is the backoff hint carried by over-capacity rejects.
-	// 0 sends no hint (clients fall back to their own retry policy).
-	RetryAfter time.Duration
 	// UploadStall injects a real per-upload handling delay — a stress
 	// and test knob that stands in for heavier inference models so a
 	// small fleet can saturate the inflight budget deterministically.
@@ -175,10 +172,10 @@ type Server struct {
 	shedSeen     atomic.Int64
 
 	// Observability probes; nil-safe no-ops when cfg.Metrics is nil.
-	mSessions    *obs.Counter
-	mReports     *obs.Counter
-	mUploads     *obs.Counter
-	mSessionErrs *obs.Counter
+	mSessions     *obs.Counter
+	mReports      *obs.Counter
+	mUploads      *obs.Counter
+	mSessionErrs  *obs.Counter
 	mSlotAssigns  *obs.Counter
 	mSlotRejects  *obs.Counter
 	mBurstJ       *obs.Counter
@@ -458,9 +455,8 @@ func (s *Server) handle(conn net.Conn) error {
 			s.liveSessions.Add(-1)
 			s.noteReject()
 			return proto.Encode(conn, proto.TypeReject, proto.RejectBody{
-				Code:        proto.RejectServerFull,
-				Message:     "session cap reached",
-				RetryAfterS: s.cfg.Admission.RetryAfter.Seconds(),
+				Code:    proto.RejectServerFull,
+				Message: "session cap reached",
 			}, nil)
 		}
 		defer s.liveSessions.Add(-1)
@@ -577,9 +573,8 @@ func (s *Server) admitUpload(conn net.Conn) (admitted bool, err error) {
 		s.inflight.Add(-1)
 		s.noteReject()
 		return false, proto.Encode(conn, proto.TypeReject, proto.RejectBody{
-			Code:        proto.RejectOverCapacity,
-			Message:     "inflight upload budget exhausted",
-			RetryAfterS: s.cfg.Admission.RetryAfter.Seconds(),
+			Code:    proto.RejectOverCapacity,
+			Message: "inflight upload budget exhausted",
 		}, nil)
 	} else if b <= 0 {
 		s.inflight.Add(1)

@@ -22,7 +22,7 @@ func BenchmarkLintModule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		findings := NewRunner().RunModule(pkgs, l.Fset, root, ModuleOptions{Interprocedural: true})
+		findings := NewRunner().RunModule(pkgs, l.Fset, root)
 		if len(findings) != 0 {
 			b.Fatalf("module not lint-clean: %v", findings)
 		}

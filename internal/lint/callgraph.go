@@ -30,17 +30,17 @@ import (
 	"sort"
 )
 
-// CallSite is one static call edge origin.
-type CallSite struct {
+// callSite is one static call edge origin.
+type callSite struct {
 	// Pos is the position of the call expression.
 	Pos token.Pos
 	// Callee is the resolved target.
 	Callee *types.Func
 }
 
-// FuncNode is one declared function or method in the analyzed package
+// funcNode is one declared function or method in the analyzed package
 // set.
-type FuncNode struct {
+type funcNode struct {
 	// Fn is the canonical object (methods use the declared receiver's
 	// object, never an instantiation).
 	Fn *types.Func
@@ -54,26 +54,26 @@ type FuncNode struct {
 	// nested function literals, which execute with the enclosing
 	// function's dynamic extent for the invariants beelint polices),
 	// ordered by position.
-	Calls []CallSite
+	Calls []callSite
 }
 
-// CallGraph indexes the declared functions of a package set.
-type CallGraph struct {
+// callGraph indexes the declared functions of a package set.
+type callGraph struct {
 	// Nodes maps each declared function to its node.
-	Nodes map[*types.Func]*FuncNode
+	Nodes map[*types.Func]*funcNode
 	// Funcs lists the nodes in deterministic (file, offset) order.
-	Funcs []*FuncNode
+	Funcs []*funcNode
 	// Callers maps a callee to the nodes that call it, in the same
 	// deterministic order.
-	Callers map[*types.Func][]*FuncNode
+	Callers map[*types.Func][]*funcNode
 }
 
 // buildCallGraph constructs the call graph over the given packages.
 // Packages must share the fset they were parsed with.
-func buildCallGraph(pkgs []*Package, fset *token.FileSet) *CallGraph {
-	g := &CallGraph{
-		Nodes:   make(map[*types.Func]*FuncNode),
-		Callers: make(map[*types.Func][]*FuncNode),
+func buildCallGraph(pkgs []*Package, fset *token.FileSet) *callGraph {
+	g := &callGraph{
+		Nodes:   make(map[*types.Func]*funcNode),
+		Callers: make(map[*types.Func][]*funcNode),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -86,7 +86,7 @@ func buildCallGraph(pkgs []*Package, fset *token.FileSet) *CallGraph {
 				if !ok {
 					continue
 				}
-				node := &FuncNode{Fn: obj, Decl: fd, Pkg: pkg}
+				node := &funcNode{Fn: obj, Decl: fd, Pkg: pkg}
 				if fd.Body != nil {
 					node.Calls = collectCalls(pkg.Info, fd.Body)
 				}
@@ -120,15 +120,15 @@ func buildCallGraph(pkgs []*Package, fset *token.FileSet) *CallGraph {
 
 // collectCalls gathers the static call sites in body, ordered by
 // position (ast.Inspect visits in source order).
-func collectCalls(info *types.Info, body *ast.BlockStmt) []CallSite {
-	var calls []CallSite
+func collectCalls(info *types.Info, body *ast.BlockStmt) []callSite {
+	var calls []callSite
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		if callee := staticCallee(info, call); callee != nil {
-			calls = append(calls, CallSite{Pos: call.Pos(), Callee: callee})
+			calls = append(calls, callSite{Pos: call.Pos(), Callee: callee})
 		}
 		return true
 	})

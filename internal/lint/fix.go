@@ -50,9 +50,6 @@ type Fix struct {
 // Fixer applies fixes to source files.
 type Fixer struct {
 	Fset *token.FileSet
-	// ReadFile loads a file's current bytes (os.ReadFile when nil, so
-	// tests can redirect).
-	ReadFile func(string) ([]byte, error)
 }
 
 // FixResult reports one rewritten file.
@@ -64,13 +61,9 @@ type FixResult struct {
 
 // Apply applies the fixes of every fixable finding, returning the
 // rewritten files sorted by path. Findings whose edits overlap a fix
-// already taken (in SortFindings order) are skipped — the next -fix
+// already taken (in sortFindings order) are skipped — the next -fix
 // run picks them up once the file has settled.
 func (fx *Fixer) Apply(findings []Finding) ([]FixResult, error) {
-	readFile := fx.ReadFile
-	if readFile == nil {
-		readFile = os.ReadFile
-	}
 	type fileState struct {
 		edits   []FixEdit
 		imports []FixImport
@@ -97,7 +90,7 @@ func (fx *Fixer) Apply(findings []Finding) ([]FixResult, error) {
 	var results []FixResult
 	for _, file := range files {
 		st := perFile[file]
-		src, err := readFile(file)
+		src, err := os.ReadFile(file)
 		if err != nil {
 			return nil, err
 		}

@@ -43,11 +43,11 @@ import (
 	"strings"
 )
 
-// Module is the whole-program view handed to the interprocedural pass.
-type Module struct {
+// module is the whole-program view handed to the interprocedural pass.
+type module struct {
 	Pkgs  []*Package
 	Fset  *token.FileSet
-	Graph *CallGraph
+	Graph *callGraph
 	// Root is the directory findings are reported relative to (the
 	// module root for real runs, the repo root for fixture tests).
 	Root string
@@ -58,9 +58,9 @@ type Module struct {
 	pkgSet map[string]*Package
 }
 
-// NewModule builds the call graph and directive index for a package
-// set. The returned Module is ready for InterproceduralFindings.
-func NewModule(pkgs []*Package, fset *token.FileSet, root string) *Module {
+// newModule builds the call graph and directive index for a package
+// set. The returned module is ready for interproceduralFindings.
+func newModule(pkgs []*Package, fset *token.FileSet, root string) *module {
 	merged := &suppressor{
 		file: make(map[string]map[string]bool),
 		line: make(map[string]map[int]map[string]bool),
@@ -76,7 +76,7 @@ func NewModule(pkgs []*Package, fset *token.FileSet, root string) *Module {
 			merged.line[file] = lines
 		}
 	}
-	return &Module{
+	return &module{
 		Pkgs:   pkgs,
 		Fset:   fset,
 		Graph:  buildCallGraph(pkgs, fset),
@@ -89,14 +89,14 @@ func NewModule(pkgs []*Package, fset *token.FileSet, root string) *Module {
 // suppressedAt reports whether a finding of the given check at the
 // given position would be suppressed by a directive anywhere in the
 // module.
-func (m *Module) suppressedAt(pos token.Pos, check string) bool {
+func (m *module) suppressedAt(pos token.Pos, check string) bool {
 	p := m.Fset.Position(pos)
 	return m.sup.suppressed(Finding{File: p.Filename, Line: p.Line, Check: check})
 }
 
 // relPos renders a position module-root-relative for use inside
 // finding messages, so messages are byte-stable across checkouts.
-func (m *Module) relPos(pos token.Pos) string {
+func (m *module) relPos(pos token.Pos) string {
 	p := m.Fset.Position(pos)
 	file := p.Filename
 	if rel, err := filepath.Rel(m.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
@@ -139,7 +139,7 @@ type taint struct {
 
 // chain renders the call path from fn down to the source:
 // "a.Run -> b.Helper -> time.Now (internal/b/b.go:12)".
-func (m *Module) chain(taints map[*types.Func]*taint, fn *types.Func) string {
+func (m *module) chain(taints map[*types.Func]*taint, fn *types.Func) string {
 	var b strings.Builder
 	t := taints[fn]
 	b.WriteString(shortFunc(fn))
@@ -163,7 +163,7 @@ type interprocCheck struct {
 	// references and returns the first (description, position), or ok
 	// false. Unaudited sources must return ok false — the file-local
 	// pass already reported them.
-	directSource func(m *Module, node *FuncNode) (string, token.Pos, bool)
+	directSource func(m *module, node *funcNode) (string, token.Pos, bool)
 	// exemptCaller reports packages whose calls never produce findings
 	// (taint spreads through them quietly).
 	exemptCaller func(pkgPath string) bool
@@ -174,10 +174,10 @@ type interprocCheck struct {
 
 // propagate runs the quiet-taint BFS for one check and appends the
 // call-site findings.
-func (c *interprocCheck) propagate(m *Module, findings *[]Finding) {
+func (c *interprocCheck) propagate(m *module, findings *[]Finding) {
 	taints := make(map[*types.Func]*taint)
 	reported := make(map[*types.Func]bool)
-	var queue []*FuncNode
+	var queue []*funcNode
 	for _, node := range m.Graph.Funcs {
 		if desc, pos, ok := c.directSource(m, node); ok {
 			taints[node.Fn] = &taint{src: desc, srcPos: pos}
@@ -223,7 +223,7 @@ func (c *interprocCheck) propagate(m *Module, findings *[]Finding) {
 
 // firstCallTo returns the position of the first call site in caller
 // that targets callee.
-func firstCallTo(caller *FuncNode, callee *types.Func) token.Pos {
+func firstCallTo(caller *funcNode, callee *types.Func) token.Pos {
 	for _, cs := range caller.Calls {
 		if cs.Callee == callee {
 			return cs.Pos
@@ -248,7 +248,7 @@ var walltimeInterprocExempt = append([]string{
 // to a banned time function either inside an exempt package or
 // suppressed by an allow directive. Unaudited reads return false (the
 // file-local analyzer owns them).
-func walltimeSource(m *Module, node *FuncNode) (string, token.Pos, bool) {
+func walltimeSource(m *module, node *funcNode) (string, token.Pos, bool) {
 	if node.Decl.Body == nil {
 		return "", token.NoPos, false
 	}
@@ -287,7 +287,7 @@ func walltimeSource(m *Module, node *FuncNode) (string, token.Pos, bool) {
 
 // randAuditedFile reports whether every banned randomness import in
 // the file holding pos is audited (exempt package or suppressed).
-func randAuditedFile(m *Module, pkg *Package, pos token.Pos) bool {
+func randAuditedFile(m *module, pkg *Package, pos token.Pos) bool {
 	if pathHasSuffix(pkg.Path, "internal/rng") {
 		return true
 	}
@@ -311,7 +311,7 @@ func randAuditedFile(m *Module, pkg *Package, pos token.Pos) bool {
 
 // randSource finds an audited use of a banned randomness package in
 // node.
-func randSource(m *Module, node *FuncNode) (string, token.Pos, bool) {
+func randSource(m *module, node *funcNode) (string, token.Pos, bool) {
 	if node.Decl.Body == nil {
 		return "", token.NoPos, false
 	}
@@ -346,9 +346,9 @@ func randSource(m *Module, node *FuncNode) (string, token.Pos, bool) {
 	return desc, at, desc != ""
 }
 
-// InterproceduralFindings runs the module-wide passes and returns
+// interproceduralFindings runs the module-wide passes and returns
 // their findings (unsorted; the caller merges and sorts).
-func (m *Module) InterproceduralFindings() []Finding {
+func (m *module) interproceduralFindings() []Finding {
 	var findings []Finding
 	(&interprocCheck{
 		name:         "walltime",
@@ -386,9 +386,9 @@ func (m *Module) InterproceduralFindings() []Finding {
 // sinkSummaries computes, for every declared function, whether calling
 // it makes output observable (directly or transitively): printing,
 // writing to a non-local writer, or mutating the ledger/obs layer.
-func (m *Module) sinkSummaries() map[*types.Func]*taint {
+func (m *module) sinkSummaries() map[*types.Func]*taint {
 	sinks := make(map[*types.Func]*taint)
-	var queue []*FuncNode
+	var queue []*funcNode
 	for _, node := range m.Graph.Funcs {
 		if desc, pos, ok := directOutputSink(node); ok {
 			sinks[node.Fn] = &taint{src: desc, srcPos: pos}
@@ -418,7 +418,7 @@ func (m *Module) sinkSummaries() map[*types.Func]*taint {
 // function-local (a parameter, field or captured writer outlives the
 // call, so per-call ordering is observable), or a mutating ledger/obs
 // method.
-func directOutputSink(node *FuncNode) (string, token.Pos, bool) {
+func directOutputSink(node *funcNode) (string, token.Pos, bool) {
 	if node.Decl.Body == nil {
 		return "", token.NoPos, false
 	}
@@ -490,7 +490,7 @@ func isParam(info *types.Info, id *ast.Ident, decl *ast.FuncDecl) bool {
 // mapRangeSinkFindings reports map ranges whose bodies call functions
 // summarized as output sinks — the interprocedural completion of the
 // file-local maprange analyzer.
-func (m *Module) mapRangeSinkFindings() []Finding {
+func (m *module) mapRangeSinkFindings() []Finding {
 	sinks := m.sinkSummaries()
 	var findings []Finding
 	for _, node := range m.Graph.Funcs {

@@ -25,7 +25,7 @@
 //	exhaustive    non-exhaustive switches over local enum types
 //	errdrop       discarded errors on the ledger/store write path
 //
-// On top of the per-package passes, RunModule's interprocedural mode
+// On top of the per-package passes, RunModule's interprocedural pass
 // (interproc.go) builds a module-wide call graph and traces
 // walltime/unseededrand/maprange violations through helper functions
 // and across package boundaries, reporting the first unannotated
@@ -158,35 +158,25 @@ func (r *Runner) RunPackage(pkg *Package, fset *token.FileSet) []Finding {
 			kept = append(kept, f)
 		}
 	}
-	return SortFindings(kept)
+	return sortFindings(kept)
 }
 
-// ModuleOptions steers RunModule.
-type ModuleOptions struct {
-	// Interprocedural enables the module-wide call-graph pass
-	// (cross-package taint and sink summaries). Disabling it restores
-	// the v1 file-local behavior — useful for measuring exactly what
-	// the whole-program analysis buys.
-	Interprocedural bool
-}
-
-// RunModule runs the per-package suite over every package and then, if
-// enabled, the interprocedural pass over the whole set. root is the
-// directory chain positions inside messages are rendered relative to.
-func (r *Runner) RunModule(pkgs []*Package, fset *token.FileSet, root string, opts ModuleOptions) []Finding {
+// RunModule runs the per-package suite over every package and then the
+// interprocedural pass over the whole set, returning every finding
+// sorted. root is the directory chain positions inside messages are
+// rendered relative to.
+func (r *Runner) RunModule(pkgs []*Package, fset *token.FileSet, root string) []Finding {
 	var all []Finding
 	for _, pkg := range pkgs {
 		all = append(all, r.RunPackage(pkg, fset)...)
 	}
-	if opts.Interprocedural {
-		all = append(all, NewModule(pkgs, fset, root).InterproceduralFindings()...)
-	}
-	return SortFindings(all)
+	all = append(all, newModule(pkgs, fset, root).interproceduralFindings()...)
+	return sortFindings(all)
 }
 
-// SortFindings orders findings by (file, line, col, check, msg) so the
+// sortFindings orders findings by (file, line, col, check, msg) so the
 // linter's output — text or JSON — is byte-stable across runs.
-func SortFindings(fs []Finding) []Finding {
+func sortFindings(fs []Finding) []Finding {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
 		if a.File != b.File {

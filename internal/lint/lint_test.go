@@ -202,13 +202,15 @@ func TestInterprocedural(t *testing.T) {
 
 	// A: file-local only. Every audited hop is quiet, so the corpus is
 	// clean — proving the findings below need the whole-program view.
-	local := NewRunner().RunModule(pkgs, l.Fset, root, ModuleOptions{})
-	for _, f := range local {
-		t.Errorf("file-local pass should be clean, got %s", f)
+	for _, pkg := range pkgs {
+		for _, f := range NewRunner().RunPackage(pkg, l.Fset) {
+			t.Errorf("file-local pass should be clean, got %s", f)
+		}
 	}
 
-	// B: interprocedural. The wants in interproc/sim fire.
-	full := NewRunner().RunModule(pkgs, l.Fset, root, ModuleOptions{Interprocedural: true})
+	// B: the whole module, interprocedural pass included. The wants in
+	// interproc/sim fire.
+	full := NewRunner().RunModule(pkgs, l.Fset, root)
 	var want []string
 	for _, dir := range []string{"interproc/prof", "interproc/mid", "interproc/randsrc", "interproc/sink", "interproc/sim"} {
 		want = append(want, parseWants(t, fixtureDir(t, dir))...)
@@ -272,7 +274,7 @@ func TestFindingsDeterministic(t *testing.T) {
 		} {
 			all = append(all, runFixture(t, l, tc.name, tc.path)...)
 		}
-		all = SortFindings(all)
+		all = sortFindings(all)
 		data, err := json.MarshalIndent(all, "", "  ")
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
@@ -301,7 +303,7 @@ func TestModuleClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	all := NewRunner().RunModule(pkgs, l.Fset, l.Root, ModuleOptions{Interprocedural: true})
+	all := NewRunner().RunModule(pkgs, l.Fset, l.Root)
 	for _, f := range all {
 		t.Errorf("module not lint-clean: %s", f)
 	}

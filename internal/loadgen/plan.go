@@ -136,10 +136,10 @@ func Plan(spec LoadSpec, evs []Event, sloSpec slo.Spec, opt PlanOptions) (PlanRe
 		MaxServers: maxServers,
 	}
 
-	probe := func(servers int) (bool, error) {
+	probe := func(servers int) (SimResult, slo.Report, error) {
 		sim, rep, err := probeOnce(spec, evs, sloSpec, servers, opt.Workers, 1)
 		if err != nil {
-			return false, err
+			return SimResult{}, slo.Report{}, err
 		}
 		out.Offered = sim.Offered
 		out.Probes = append(out.Probes, Probe{
@@ -149,38 +149,34 @@ func Plan(spec LoadSpec, evs []Event, sloSpec slo.Spec, opt PlanOptions) (PlanRe
 			DeliveredFrac: sim.DeliveredFrac(),
 			P99:           latQ(sim, 0.99),
 		})
-		return rep.Pass(), nil
+		return sim, rep, nil
 	}
 
 	// Feasibility first: if the ceiling itself breaches, report that
-	// and skip the search.
-	ok, err := probe(maxServers)
+	// and skip the search. sim and rep always hold the probe at hi,
+	// the smallest passing count seen, so the sized deployment's
+	// report and its x1 knee point reuse that probe.
+	sim, rep, err := probe(maxServers)
 	if err != nil {
 		return PlanReport{}, err
 	}
 	sized := maxServers
-	if ok {
+	if rep.Pass() {
 		lo, hi := 1, maxServers
 		for lo < hi {
 			mid := lo + (hi-lo)/2
-			pass, err := probe(mid)
+			midSim, midRep, err := probe(mid)
 			if err != nil {
 				return PlanReport{}, err
 			}
-			if pass {
-				hi = mid
+			if midRep.Pass() {
+				hi, sim, rep = mid, midSim, midRep
 			} else {
 				lo = mid + 1
 			}
 		}
 		out.MinServers = lo
 		sized = lo
-	}
-
-	// Final evaluation at the sized deployment for the report body.
-	_, rep, err := probeOnce(spec, evs, sloSpec, sized, opt.Workers, 1)
-	if err != nil {
-		return PlanReport{}, err
 	}
 	out.Report = rep
 
@@ -189,27 +185,31 @@ func Plan(spec LoadSpec, evs []Event, sloSpec slo.Spec, opt PlanOptions) (PlanRe
 	// nested pools.
 	knee, err := parallel.Map(opt.Workers, len(DefaultKneeMultipliers), func(i int) (KneePoint, error) {
 		m := DefaultKneeMultipliers[i]
-		sim, _, err := probeOnce(spec, evs, sloSpec, sized, 1, m)
-		if err != nil {
-			return KneePoint{}, err
+		ks := sim
+		if m != 1 {
+			var err error
+			ks, err = Simulate(spec, evs, SimOptions{Servers: sized, Workers: 1, RateScale: m})
+			if err != nil {
+				return KneePoint{}, err
+			}
 		}
 		kp := KneePoint{
 			Mult:          m,
-			Offered:       sim.Offered,
-			Delivered:     sim.Delivered,
-			Rejected:      sim.Rejected,
-			Lost:          sim.Lost,
-			DeliveredFrac: sim.DeliveredFrac(),
-			P50:           latQ(sim, 0.5),
-			P99:           latQ(sim, 0.99),
-			EdgeWh:        sim.EdgeJ / 3600,
-			ServerWh:      sim.ServerJ / 3600,
+			Offered:       ks.Offered,
+			Delivered:     ks.Delivered,
+			Rejected:      ks.Rejected,
+			Lost:          ks.Lost,
+			DeliveredFrac: ks.DeliveredFrac(),
+			P50:           latQ(ks, 0.5),
+			P99:           latQ(ks, 0.99),
+			EdgeWh:        ks.EdgeJ / 3600,
+			ServerWh:      ks.ServerJ / 3600,
 		}
-		if sim.HorizonS > 0 {
-			kp.OfferedPerS = float64(sim.Offered) / sim.HorizonS
+		if ks.HorizonS > 0 {
+			kp.OfferedPerS = float64(ks.Offered) / ks.HorizonS
 		}
-		if sim.Delivered > 0 {
-			kp.JPerDelivered = (sim.EdgeJ + sim.ServerJ) / float64(sim.Delivered)
+		if ks.Delivered > 0 {
+			kp.JPerDelivered = (ks.EdgeJ + ks.ServerJ) / float64(ks.Delivered)
 		}
 		return kp, nil
 	})

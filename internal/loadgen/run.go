@@ -336,11 +336,7 @@ func uploadWithRetry(spec LoadSpec, conn net.Conn, h int, wake time.Time,
 				return false, err
 			}
 			out.rejected++
-			extra := time.Duration(0)
-			if rej.RetryAfterS > 0 {
-				extra = time.Duration(rej.RetryAfterS * float64(time.Second))
-			}
-			if !backoff(extra) {
+			if !backoff(0) {
 				return false, nil
 			}
 		default:

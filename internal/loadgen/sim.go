@@ -125,8 +125,8 @@ func (q attemptQueue) Less(i, j int) bool {
 	}
 	return a.attempt < b.attempt
 }
-func (q attemptQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *attemptQueue) Push(x any) { *q = append(*q, x.(attemptItem)) }
+func (q attemptQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *attemptQueue) Push(x any)   { *q = append(*q, x.(attemptItem)) }
 func (q *attemptQueue) Pop() any {
 	old := *q
 	n := len(old)
@@ -135,27 +135,17 @@ func (q *attemptQueue) Pop() any {
 	return it
 }
 
-// busyHeap tracks inflight completion instants per shard.
-type busyHeap []time.Duration
-
-func (h busyHeap) Len() int           { return len(h) }
-func (h busyHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h busyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *busyHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
-func (h *busyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-// shardResult is one shard's tallies, merged serially in shard order.
+// shardResult is one shard's tallies and metric samples. Simulate
+// observes the samples into one registry, shard by shard in shard
+// order, so the merged metrics do not depend on the worker count.
 type shardResult struct {
-	delivered, rejected, droppedLink, lost, offered int
-	edgeJ, serverJ                                  float64
-	reg                                             *obs.Registry
-	entries                                         []ledger.Entry
+	delivered, rejected, droppedLink, lost, offered, attempts, shed int
+	edgeJ, serverJ                                                  float64
+	// latency holds each delivered episode's wake-to-delivery seconds,
+	// perEpisode each episode's attempt count, and depth the inflight
+	// count each attempt reaching the server found.
+	latency, perEpisode, depth []float64
+	entries                    []ledger.Entry
 }
 
 // simShard replays one shard's upload episodes through an M/G/c-style
@@ -165,22 +155,12 @@ type shardResult struct {
 // server's admission semantics.
 func simShard(spec LoadSpec, evs []Event, scale float64, inj *faults.Injector,
 	policy faults.RetryPolicy, needEntries bool) shardResult {
-	res := shardResult{reg: obs.NewRegistry()}
+	res := shardResult{offered: len(evs)}
 	serviceS := serviceSeconds(spec)
 	service := seconds(serviceS)
 	burstJ := serverBurstJoules()
 	send := power.DefaultPi3B().SendAudio()
 	budget := spec.Server.MaxInflight
-
-	hLatency := res.reg.Histogram(netsim.MetricUploadSeconds)
-	hE2E := res.reg.Histogram(hivenet.MetricUploadE2ESeconds)
-	hDepth := res.reg.Histogram(hivenet.MetricQueueDepth)
-	hAttempts := res.reg.Histogram(netsim.MetricAttemptsPerUpload)
-	cEpisodes := res.reg.Counter(netsim.MetricUploadEpisodes)
-	cDrops := res.reg.Counter(netsim.MetricSendDrops)
-	cAttempts := res.reg.Counter(netsim.MetricSendAttempts)
-	cRejects := res.reg.Counter(hivenet.MetricAdmissionRejects)
-	cUploads := res.reg.Counter(hivenet.MetricUploads)
 
 	var edge, server stats.Kahan
 
@@ -190,30 +170,26 @@ func simShard(spec LoadSpec, evs []Event, scale float64, inj *faults.Injector,
 		q = append(q, attemptItem{at: at, wakeAt: at, hive: ev.Hive, wake: ev.Wake, attempt: 1})
 	}
 	heap.Init(&q)
-	res.offered = len(evs)
-	cEpisodes.Add(float64(len(evs)))
 
-	var busy busyHeap
-	// episode bookkeeping for the attempts-per-upload histogram: the
-	// attempt count is carried in each item, so the final attempt's
-	// value is the episode's total.
+	// busy[head:] holds the inflight completion instants, earliest
+	// first: attempts pop in time order and the service time is
+	// constant, so completions arrive in the order they were admitted.
+	var busy []time.Duration
+	head := 0
+	// The attempt count is carried in each item, so the final
+	// attempt's value is the episode's total.
 	finish := func(it attemptItem, deliveredAt time.Duration, ok bool) {
-		hAttempts.Observe(float64(it.attempt))
+		res.perEpisode = append(res.perEpisode, float64(it.attempt))
 		edge.Add(float64(it.attempt) * float64(send.Energy))
-		end := deliveredAt
 		if ok {
 			res.delivered++
-			cUploads.Inc()
-			lat := (deliveredAt - it.wakeAt).Seconds()
-			hLatency.Observe(lat)
-			hE2E.Observe(lat)
+			res.latency = append(res.latency, (deliveredAt - it.wakeAt).Seconds())
 			server.Add(burstJ)
 		} else {
 			res.lost++
-			cDrops.Inc()
 		}
 		if needEntries {
-			t := CampaignStart.Add(end)
+			t := CampaignStart.Add(deliveredAt)
 			res.entries = append(res.entries, ledger.Entry{
 				T: t, Hive: hiveID(it.hive), Device: "edge", Component: "radio",
 				Task: send.Name, Dir: ledger.Consume,
@@ -248,10 +224,10 @@ func simShard(spec LoadSpec, evs []Event, scale float64, inj *faults.Injector,
 	for q.Len() > 0 {
 		it := heap.Pop(&q).(attemptItem)
 		now := it.at
-		for len(busy) > 0 && busy[0] <= now {
-			heap.Pop(&busy)
+		for head < len(busy) && busy[head] <= now {
+			head++
 		}
-		cAttempts.Inc()
+		res.attempts++
 		// Link faults eat the attempt before the server ever sees it.
 		if inj != nil && inj.DropUpload(CampaignStart.Add(now), it.attempt) {
 			res.droppedLink++
@@ -260,28 +236,30 @@ func simShard(spec LoadSpec, evs []Event, scale float64, inj *faults.Injector,
 			}
 			continue
 		}
-		hDepth.Observe(float64(len(busy)))
-		if budget > 0 && len(busy) >= budget {
+		inflight := len(busy) - head
+		res.depth = append(res.depth, float64(inflight))
+		if budget > 0 && inflight >= budget {
 			res.rejected++
-			cRejects.Inc()
 			if !retry(it, now, 0) {
 				finish(it, now, false)
 			}
 			continue
 		}
+		if len(busy) == cap(busy) && head > 0 {
+			busy = busy[:copy(busy, busy[head:])]
+			head = 0
+		}
 		done := now + service
-		heap.Push(&busy, done)
+		busy = append(busy, done)
 		finish(it, done, true)
 	}
 
 	res.edgeJ = edge.Sum()
 	res.serverJ = server.Sum()
-	if cap := spec.Server.MaxArchiveRecords; cap > 0 {
-		// The live server archives two records per delivered wake-up
-		// (sensor report + verdict); the cap sheds the overflow.
-		if records := 2 * res.delivered; records > cap {
-			res.reg.Counter(hivenet.MetricArchiveShed).Add(float64(records - cap))
-		}
+	// The live server archives two records per delivered wake-up
+	// (sensor report + verdict); the cap sheds the overflow.
+	if limit := spec.Server.MaxArchiveRecords; limit > 0 && 2*res.delivered > limit {
+		res.shed = 2*res.delivered - limit
 	}
 	return res
 }
@@ -330,22 +308,40 @@ func Simulate(spec LoadSpec, evs []Event, opt SimOptions) (SimResult, error) {
 		Reads:     reads,
 		Registry:  obs.NewRegistry(),
 	}
+	hLatency := out.Registry.Histogram(netsim.MetricUploadSeconds)
+	hDepth := out.Registry.Histogram(hivenet.MetricQueueDepth)
+	hAttempts := out.Registry.Histogram(netsim.MetricAttemptsPerUpload)
+	observe := func(h *obs.Histogram, vs []float64) {
+		for _, v := range vs {
+			h.Observe(v)
+		}
+	}
 	var edge, server stats.Kahan
+	attempts := 0
 	for _, sh := range shards {
 		out.Offered += sh.offered
 		out.Delivered += sh.delivered
 		out.Rejected += sh.rejected
 		out.DroppedLink += sh.droppedLink
 		out.Lost += sh.lost
+		out.ArchiveShed += sh.shed
+		attempts += sh.attempts
 		edge.Add(sh.edgeJ)
 		server.Add(sh.serverJ)
-		out.Registry.Merge(sh.reg)
+		observe(hLatency, sh.latency)
+		observe(hAttempts, sh.perEpisode)
+		observe(hDepth, sh.depth)
 		out.Entries = append(out.Entries, sh.entries...)
 	}
 	out.EdgeJ = edge.Sum()
 	out.ServerJ = server.Sum()
-	if shed, ok := out.Registry.Snapshot().FindCounter(hivenet.MetricArchiveShed); ok {
-		out.ArchiveShed = int(shed)
+	out.Registry.Counter(netsim.MetricUploadEpisodes).Add(float64(out.Offered))
+	out.Registry.Counter(netsim.MetricSendDrops).Add(float64(out.Lost))
+	out.Registry.Counter(netsim.MetricSendAttempts).Add(float64(attempts))
+	out.Registry.Counter(hivenet.MetricAdmissionRejects).Add(float64(out.Rejected))
+	out.Registry.Counter(hivenet.MetricUploads).Add(float64(out.Delivered))
+	if out.ArchiveShed > 0 {
+		out.Registry.Counter(hivenet.MetricArchiveShed).Add(float64(out.ArchiveShed))
 	}
 	out.Registry.Counter("loadgen_api_reads_total").Add(float64(reads))
 	// Cross-shard entry order must not depend on shard sizes: impose

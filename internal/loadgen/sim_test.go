@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"beesim/internal/hivenet"
@@ -158,5 +160,68 @@ func TestPlanFindsMinimalServers(t *testing.T) {
 	}
 	if len(rep.Knee) != len(DefaultKneeMultipliers) {
 		t.Fatalf("knee has %d points", len(rep.Knee))
+	}
+}
+
+// erlangB is the Erlang-B blocking probability of an M/G/c/c loss
+// system offered a erlangs, by the stable recursion
+// B(k) = a·B(k-1) / (k + a·B(k-1)), B(0) = 1.
+func erlangB(c int, a float64) float64 {
+	b := 1.0
+	for k := 1; k <= c; k++ {
+		b = a * b / (float64(k) + a*b)
+	}
+	return b
+}
+
+// TestSimulateMatchesErlangB checks the planner against an analytic
+// oracle that shares none of its code. With faults off, a single
+// attempt per upload and a full phase spread, each shard is a loss
+// system: near-Poisson arrivals (many hives, uniform phases), c =
+// max_inflight handlers, no queue, and a constant service time.
+// Erlang-B blocking depends on the service time only through its mean,
+// so Rejected/Offered must match B(c, a) with a = (hives / servers /
+// period) · service. Phases repeat every period, so the sample is one
+// period's arrivals per shard; 1,500 hives per shard keep its spread
+// under the tolerance.
+func TestSimulateMatchesErlangB(t *testing.T) {
+	const (
+		hivesPerShard = 1500
+		periodS       = 600
+		tolerance     = 0.03
+	)
+	shapes := []struct {
+		a          float64 // offered erlangs per shard
+		c, servers int
+	}{
+		{1.3, 3, 1}, {2.6, 2, 2}, {3.25, 6, 2}, {4, 4, 4}, {15.1, 10, 3},
+	}
+	for _, sh := range shapes {
+		serviceS := sh.a * periodS / hivesPerShard
+		want := erlangB(sh.c, sh.a)
+		for _, seed := range []uint64{1, 2, 3, 4} {
+			spec, err := ParseSpec([]byte(fmt.Sprintf(`{
+			  "name": "erlang", "seed": %d, "hives": %d, "wake_period_s": %d,
+			  "horizon_s": %d, "clip_s": 0.25, "phase_spread": 1, "shards": %d,
+			  "server": {"max_inflight": %d, "service_s": %g},
+			  "retry": {"max_attempts": 1, "base_s": 1, "max_s": 1, "multiplier": 1}
+			}`, seed, hivesPerShard*sh.servers, periodS, 8*periodS, sh.servers, sh.c, serviceS)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Simulate(spec, Schedule(spec), SimOptions{Servers: sh.servers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Lost != res.Rejected {
+				t.Fatalf("a=%g c=%d seed %d: lost %d != rejected %d with one attempt per upload",
+					sh.a, sh.c, seed, res.Lost, res.Rejected)
+			}
+			got := float64(res.Rejected) / float64(res.Offered)
+			if math.Abs(got-want) > tolerance {
+				t.Errorf("a=%g c=%d seed %d: reject fraction %.4f, Erlang B %.4f (tolerance %g)",
+					sh.a, sh.c, seed, got, want, tolerance)
+			}
+		}
 	}
 }

@@ -149,7 +149,7 @@ func (l *Link) SendSpan(now time.Time, payload Bytes, sc *obs.SpanContext) Outco
 				l.ledgerTransfer(at, t)
 			}
 			l.hAttempts.ObserveExemplar(float64(a), sc)
-			l.hUploadSecs.ObserveExemplar((elapsed+t.Duration).Seconds(), sc)
+			l.hUploadSecs.ObserveExemplar((elapsed + t.Duration).Seconds(), sc)
 			return Outcome{
 				Transfer:      t,
 				Delivered:     true,

@@ -168,12 +168,11 @@ const (
 )
 
 // RejectBody is the payload of a TypeReject frame: a machine-readable
-// code, a human-readable message, and a backoff hint in seconds (zero
-// means "use your own policy").
+// code and a human-readable message. It carries no backoff hint; the
+// client backs off by its own retry policy.
 type RejectBody struct {
-	Code        string  `json:"code"`
-	Message     string  `json:"message,omitempty"`
-	RetryAfterS float64 `json:"retry_after_s,omitempty"`
+	Code    string `json:"code"`
+	Message string `json:"message,omitempty"`
 }
 
 // Frame is one decoded protocol frame.

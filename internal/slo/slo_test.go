@@ -32,12 +32,12 @@ func TestParseSpecStrict(t *testing.T) {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	bad := map[string]string{
-		"unknown field":  `{"name": "x", "objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 0.5, "max_s": 1, "extra": 1}]}`,
-		"trailing data":  `{"name": "x", "objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 0.5, "max_s": 1}]} tail`,
-		"no objectives":  `{"name": "x", "objectives": []}`,
-		"no name":        `{"objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 0.5, "max_s": 1}]}`,
-		"bad quantile":   `{"name": "x", "objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 1.5, "max_s": 1}]}`,
-		"negative bound": `{"name": "x", "objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 0.5, "max_s": -1}]}`,
+		"unknown field":   `{"name": "x", "objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 0.5, "max_s": 1, "extra": 1}]}`,
+		"trailing data":   `{"name": "x", "objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 0.5, "max_s": 1}]} tail`,
+		"no objectives":   `{"name": "x", "objectives": []}`,
+		"no name":         `{"objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 0.5, "max_s": 1}]}`,
+		"bad quantile":    `{"name": "x", "objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 1.5, "max_s": 1}]}`,
+		"negative bound":  `{"name": "x", "objectives": [{"name": "a", "kind": "latency", "metric": "m", "quantile": 0.5, "max_s": -1}]}`,
 		"negative budget": `{"name": "x", "objectives": [{"name": "a", "kind": "energy", "budget_wh": -5}]}`,
 		"both budgets":    `{"name": "x", "objectives": [{"name": "a", "kind": "energy", "budget_wh": 5, "budget_wh_per_day": 5}]}`,
 		"unknown kind":    `{"name": "x", "objectives": [{"name": "a", "kind": "weather", "metric": "m"}]}`,

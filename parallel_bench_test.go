@@ -81,9 +81,10 @@ func benchClip(b *testing.B) []float64 {
 	return corpus[0].Samples
 }
 
-// serialFrames pins dsp's frame fan-out, which otherwise sizes itself
-// by the machine's CPU count, to one worker for the rest of the
-// benchmark, so allocs/op match the baselines on any machine.
+// serialFrames pins the worker pool's process default, which dsp's
+// frame fan-out and every workers=0 caller otherwise size by the
+// machine's CPU count, to one worker for the rest of the benchmark, so
+// allocs/op match the baselines on any machine.
 func serialFrames(b *testing.B) {
 	parallel.SetDefault(1)
 	b.Cleanup(func() { parallel.SetDefault(0) })
@@ -162,9 +163,11 @@ func BenchmarkRFFT(b *testing.B) {
 }
 
 // BenchmarkCampaignParallel runs the Section-IV daily-routine Monte
-// Carlo campaign (319 replicas, batched 64 per rng stream) across all
-// cores.
+// Carlo campaign (319 replicas, batched 64 per rng stream) through the
+// worker pool at its process default, pinned to one worker so allocs/op
+// match the one-vCPU baseline on any machine.
 func BenchmarkCampaignParallel(b *testing.B) {
+	serialFrames(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RoutineStatsWorkers(319, 0); err != nil {
