@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test e2e-quick vet fmt lint lint-fix race bench verify bench-baseline bench-diff smoke chaos soak
+.PHONY: all build test e2e-quick vet fmt lint lint-fix race bench verify bench-baseline bench-diff obs-bench smoke chaos soak
 
 all: verify
 

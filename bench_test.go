@@ -480,12 +480,10 @@ func desLoop(b *testing.B, setup func(*des.Sim)) {
 			setup(s)
 		}
 		ticks := 0
-		stop, err := s.Every(time.Second, func() { ticks++ })
-		if err != nil {
+		if err := s.Every(time.Second, func() { ticks++ }); err != nil {
 			b.Fatal(err)
 		}
 		s.Run(start.Add(1000 * time.Second))
-		stop()
 		if ticks != 1000 {
 			b.Fatalf("ticks = %d, want 1000", ticks)
 		}
@@ -517,7 +515,7 @@ func BenchmarkDESLoopLedgerNil(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := des.New(start)
 		ticks := 0
-		stop, err := s.Every(time.Second, func() {
+		err := s.Every(time.Second, func() {
 			ticks++
 			if lg != nil {
 				lg.Append(ledger.Entry{
@@ -530,7 +528,6 @@ func BenchmarkDESLoopLedgerNil(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.Run(start.Add(1000 * time.Second))
-		stop()
 		if ticks != 1000 {
 			b.Fatalf("ticks = %d, want 1000", ticks)
 		}
@@ -552,22 +549,22 @@ func BenchmarkDESLoopObsFullTrace(b *testing.B) {
 	})
 }
 
-// BenchmarkDESLoopSteady isolates the event-arena steady state: unlike
-// the other DESLoop benchmarks it builds the calendar once outside the
-// timer, so each iteration measures 1000 recurring ticks on a warm
-// free list — the pooled-event path with zero allocations per tick.
+// BenchmarkDESLoopSteady isolates the calendar's steady state: unlike
+// the other DESLoop benchmarks it arms the timer once outside the
+// timed loop, so each iteration measures 1000 in-place re-arms — the
+// path with zero allocations per tick.
 func BenchmarkDESLoopSteady(b *testing.B) {
 	start := time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
 	s := des.New(start)
 	ticks := 0
-	if _, err := s.Every(time.Second, func() { ticks++ }); err != nil {
+	if err := s.Every(time.Second, func() { ticks++ }); err != nil {
 		b.Fatal(err)
 	}
-	s.RunFor(1000 * time.Second) // warm the arena
+	s.Run(s.Now().Add(1000 * time.Second))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RunFor(1000 * time.Second)
+		s.Run(s.Now().Add(1000 * time.Second))
 	}
 	if ticks < 1000*(b.N+1) {
 		b.Fatalf("ticks = %d", ticks)

@@ -77,9 +77,7 @@ func TestNoUncalledExports(t *testing.T) {
 		return out
 	}
 	for _, pf := range files {
-		// The event loop's process API is a deliberate public
-		// surface of internal/des and is not checked.
-		if !strings.HasPrefix(pf.dir, "internal/") || pf.dir == "internal/des" {
+		if !strings.HasPrefix(pf.dir, "internal/") {
 			continue
 		}
 		m := decls[pf.dir]

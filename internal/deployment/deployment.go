@@ -487,10 +487,10 @@ func Run(cfg Config) (*Trace, error) {
 		}
 	}
 
-	if _, err := sim.Every(cfg.SampleEvery, envTick); err != nil {
+	if err := sim.Every(cfg.SampleEvery, envTick); err != nil {
 		return nil, err
 	}
-	if _, err := sim.Every(cfg.WakePeriod, wakeTick); err != nil {
+	if err := sim.Every(cfg.WakePeriod, wakeTick); err != nil {
 		return nil, err
 	}
 	sim.Run(cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour))

@@ -3,12 +3,10 @@ package des
 // Observability bridge: Instrument attaches an obs.Registry and/or
 // obs.Tracer to a simulation. The engine itself only carries a single
 // nil-checked pointer, so an uninstrumented Sim pays one predictable
-// branch per event — the property the DES-loop benchmarks in
-// bench_test.go guard (<5% overhead with observability disabled).
+// branch per arm and per firing — the property the DES-loop benchmarks
+// in bench_test.go measure.
 
 import (
-	"time"
-
 	"beesim/internal/obs"
 )
 
@@ -16,16 +14,12 @@ import (
 const (
 	MetricEventsScheduled = "des_events_scheduled_total"
 	MetricEventsFired     = "des_events_fired_total"
-	MetricEventsCancelled = "des_events_cancelled_total"
-	MetricProcessStages   = "des_process_stages_total"
 	MetricPendingEvents   = "des_pending_events"
 )
 
 type simObs struct {
 	scheduled *obs.Counter
 	fired     *obs.Counter
-	cancelled *obs.Counter
-	stages    *obs.Counter
 	pending   *obs.Gauge
 	tr        *obs.Tracer
 	traceAll  bool
@@ -34,13 +28,12 @@ type simObs struct {
 // Instrument wires metrics and tracing into the simulation. Either
 // argument may be nil: with a nil registry the counters are no-ops,
 // with a nil tracer no timeline is recorded. With both nil the call
-// detaches the probes entirely — the disabled configuration costs the
-// engine exactly one nil-pointer branch per event, which is what the
-// DESLoop benchmarks in bench_test.go verify (<5% over the bare loop).
+// detaches the probes entirely, leaving the engine its one nil-pointer
+// branch per arm and per firing.
 //
-// traceEvents additionally records every scheduled/fired/cancelled
-// engine event as an instant on the engine track — complete but
-// verbose; per-package spans usually tell the story with far fewer
+// traceEvents additionally records every arm ("event scheduled") and
+// firing ("event fired") as an instant on the engine track — complete
+// but verbose; per-package spans usually tell the story with far fewer
 // events.
 func Instrument(s *Sim, m *obs.Registry, tr *obs.Tracer, traceEvents bool) {
 	if m == nil && tr == nil {
@@ -50,8 +43,6 @@ func Instrument(s *Sim, m *obs.Registry, tr *obs.Tracer, traceEvents bool) {
 	s.o = &simObs{
 		scheduled: m.Counter(MetricEventsScheduled),
 		fired:     m.Counter(MetricEventsFired),
-		cancelled: m.Counter(MetricEventsCancelled),
-		stages:    m.Counter(MetricProcessStages),
 		pending:   m.Gauge(MetricPendingEvents),
 		tr:        tr,
 		traceAll:  traceEvents,
@@ -61,42 +52,20 @@ func Instrument(s *Sim, m *obs.Registry, tr *obs.Tracer, traceEvents bool) {
 	}
 }
 
-// Uninstrument detaches all probes, restoring the zero-cost path.
-func Uninstrument(s *Sim) { s.o = nil }
-
-func (o *simObs) eventScheduled(s *Sim, e *Event) {
+func (o *simObs) onArm(s *Sim, t *timer) {
 	o.scheduled.Inc()
-	o.pending.Set(float64(len(s.queue)))
+	o.pending.Set(float64(len(s.cal)))
 	if o.traceAll {
 		o.tr.Instant("event scheduled", "des", obs.TidEngine, s.now,
-			map[string]any{"seq": e.seq, "at_us": e.at.Sub(s.now).Microseconds()})
+			map[string]any{"seq": t.seq, "at_us": t.at.Sub(s.now).Microseconds()})
 	}
 }
 
-func (o *simObs) eventFired(s *Sim, e *Event) {
+func (o *simObs) onFire(s *Sim, t *timer) {
 	o.fired.Inc()
-	o.pending.Set(float64(len(s.queue)))
+	o.pending.Set(float64(len(s.cal)))
 	if o.traceAll {
-		o.tr.Instant("event fired", "des", obs.TidEngine, e.at,
-			map[string]any{"seq": e.seq})
+		o.tr.Instant("event fired", "des", obs.TidEngine, t.at,
+			map[string]any{"seq": t.seq})
 	}
-}
-
-func (o *simObs) eventCancelled(s *Sim, e *Event) {
-	o.cancelled.Inc()
-	o.pending.Set(float64(len(s.queue)))
-	if o.traceAll {
-		o.tr.Instant("event cancelled", "des", obs.TidEngine, s.now,
-			map[string]any{"seq": e.seq})
-	}
-}
-
-func (o *simObs) processStage(s *Sim, name, label string, stage int, d time.Duration) {
-	o.stages.Inc()
-	spanName := name
-	if label != "" {
-		spanName = name + ": " + label
-	}
-	o.tr.Span(spanName, "process", obs.TidEngine, s.now, d,
-		map[string]any{"stage": stage})
 }

@@ -1,133 +1,115 @@
 package des
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"beesim/internal/obs"
 )
 
-func obsStart() time.Time { return time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC) }
-
 func TestInstrumentCountsEngineEvents(t *testing.T) {
-	s := New(obsStart())
+	s := New(t0)
 	m := obs.NewRegistry()
 	Instrument(s, m, nil, false)
 
-	for i := 0; i < 5; i++ {
-		if _, err := s.After(time.Duration(i+1)*time.Second, func() {}); err != nil {
-			t.Fatal(err)
-		}
+	// Inside a handler the firing timer is off the calendar, so the
+	// gauge reads one less than the armed timers.
+	var pendingSeen []float64
+	mustEvery(t, s, time.Second, func() {
+		pendingSeen = append(pendingSeen, m.Gauge(MetricPendingEvents).Value())
+	})
+	mustEvery(t, s, 2*time.Second, func() {})
+	mustEvery(t, s, time.Hour, func() {})
+	if got := m.Gauge(MetricPendingEvents).Value(); got != 3 {
+		t.Fatalf("pending gauge = %v after arming, want 3", got)
 	}
-	e, err := s.After(10*time.Second, func() { t.Fatal("cancelled event fired") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Cancel()
-	s.Run(obsStart().Add(time.Minute))
+	s.Run(t0.Add(10 * time.Second))
 
-	if got := m.Counter(MetricEventsScheduled).Value(); got != 6 {
-		t.Fatalf("scheduled = %v, want 6", got)
+	if got := m.Counter(MetricEventsFired).Value(); got != 15 {
+		t.Fatalf("fired = %v, want 15 (10 + 5)", got)
 	}
-	if got := m.Counter(MetricEventsFired).Value(); got != 5 {
-		t.Fatalf("fired = %v, want 5", got)
+	if got := m.Counter(MetricEventsScheduled).Value(); got != 3+15 {
+		t.Fatalf("scheduled = %v, want 18 (3 arms + 15 re-arms)", got)
 	}
-	if got := m.Counter(MetricEventsCancelled).Value(); got != 1 {
-		t.Fatalf("cancelled = %v, want 1", got)
+	if got := m.Gauge(MetricPendingEvents).Value(); got != 3 {
+		t.Fatalf("pending gauge = %v after Run, want 3", got)
 	}
-	if got := m.Gauge(MetricPendingEvents).Value(); got != 0 {
-		t.Fatalf("pending gauge = %v, want 0 after drain", got)
+	if want := []float64{2, 2, 2, 2, 2, 2, 2, 2, 2, 2}; !slices.Equal(pendingSeen, want) {
+		t.Fatalf("gauge inside handler = %v, want %v", pendingSeen, want)
 	}
 }
 
 func TestInstrumentTraceEvents(t *testing.T) {
-	s := New(obsStart())
-	tr := obs.NewTracer(obsStart())
+	s := New(t0)
+	tr := obs.NewTracer(t0)
 	Instrument(s, nil, tr, true)
-	if _, err := s.After(time.Second, func() {}); err != nil {
-		t.Fatal(err)
+	mustEvery(t, s, time.Second, func() {})
+	s.Run(t0.Add(2 * time.Second))
+
+	type instant struct {
+		name string
+		ts   int64
+		seq  any
+		atUS any
 	}
-	s.Run(obsStart().Add(time.Minute))
-	// thread_name metadata + scheduled + fired
-	if got := tr.Len(); got != 3 {
-		t.Fatalf("trace has %d events, want 3", got)
+	var got []instant
+	evs := tr.Events()
+	if len(evs) == 0 || evs[0].Name != "thread_name" || evs[0].Args["name"] != "des engine" {
+		t.Fatalf("first event = %+v, want the des engine thread name", evs)
 	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"event scheduled", "event fired"} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Fatalf("trace missing %q:\n%s", want, buf.String())
+	for _, e := range evs[1:] {
+		if e.Phase != "i" || e.Cat != "des" || e.TID != obs.TidEngine {
+			t.Fatalf("unexpected event %+v", e)
 		}
+		got = append(got, instant{e.Name, e.TS, e.Args["seq"], e.Args["at_us"]})
+	}
+	want := []instant{
+		{"event scheduled", 0, uint64(0), int64(1e6)},
+		{"event fired", 1e6, uint64(0), nil},
+		{"event scheduled", 1e6, uint64(1), int64(1e6)},
+		{"event fired", 2e6, uint64(1), nil},
+		{"event scheduled", 2e6, uint64(2), int64(1e6)},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("engine instants:\n got %v\nwant %v", got, want)
 	}
 }
 
-func TestNamedProcessEmitsSpans(t *testing.T) {
-	s := New(obsStart())
-	m := obs.NewRegistry()
-	tr := obs.NewTracer(obsStart())
-	Instrument(s, m, tr, false)
-
-	p := NewNamedProcess(s, "recorder")
-	err := p.ThenNamed("boot", 10*time.Second, func(p *Process) {
-		_ = p.ThenNamed("collect", 64*time.Second, func(p *Process) { p.Finish() })
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(obsStart().Add(5 * time.Minute))
-
-	if got := m.Counter(MetricProcessStages).Value(); got != 2 {
-		t.Fatalf("process stages = %v, want 2", got)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"recorder: boot", "recorder: collect"} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Fatalf("trace missing span %q:\n%s", want, buf.String())
-		}
-	}
-}
-
+// TestUninstrumentRestoresBarePath checks that Instrument with neither a
+// registry nor a tracer detaches probes attached earlier.
 func TestUninstrumentRestoresBarePath(t *testing.T) {
-	s := New(obsStart())
+	s := New(t0)
 	m := obs.NewRegistry()
 	Instrument(s, m, nil, false)
-	Uninstrument(s)
-	if _, err := s.After(time.Second, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(obsStart().Add(time.Minute))
+	Instrument(s, nil, nil, false)
+	mustEvery(t, s, time.Second, func() {})
+	s.Run(t0.Add(time.Minute))
 	if got := m.Counter(MetricEventsFired).Value(); got != 0 {
-		t.Fatalf("fired = %v after Uninstrument, want 0", got)
+		t.Fatalf("fired = %v after detaching, want 0", got)
 	}
 }
 
 func TestInstrumentDisabledChangesNothing(t *testing.T) {
 	// The disabled configuration — Instrument with neither a registry
 	// nor a tracer — must not change engine behaviour.
-	run := func(instr bool) (uint64, time.Time) {
-		s := New(obsStart())
+	run := func(instr bool) (int, time.Time) {
+		s := New(t0)
 		if instr {
 			Instrument(s, nil, nil, false)
+			if s.o != nil {
+				t.Fatal("Instrument(nil, nil) left probes attached")
+			}
 		}
 		n := 0
-		stop, err := s.Every(time.Second, func() { n++ })
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer stop()
-		s.Run(obsStart().Add(time.Minute))
-		return s.Fired(), s.Now()
+		mustEvery(t, s, time.Second, func() { n++ })
+		s.Run(t0.Add(time.Minute))
+		return n, s.Now()
 	}
-	bareFired, bareNow := run(false)
-	obsFired, obsNow := run(true)
-	if bareFired != obsFired || !bareNow.Equal(obsNow) {
-		t.Fatalf("disabled instrumentation changed the run: fired %d vs %d, now %v vs %v",
-			bareFired, obsFired, bareNow, obsNow)
+	bareN, bareNow := run(false)
+	obsN, obsNow := run(true)
+	if bareN != obsN || !bareNow.Equal(obsNow) {
+		t.Fatalf("disabled instrumentation changed the run: ticks %d vs %d, now %v vs %v",
+			bareN, obsN, bareNow, obsNow)
 	}
 }

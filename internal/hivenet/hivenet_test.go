@@ -297,6 +297,9 @@ func TestAgentCloseIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestServerCloseUnblocksServe closes the server with no wait after
+// starting Serve, so Close may land before or after Accept blocks:
+// Serve must return nil either way.
 func TestServerCloseUnblocksServe(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0", DefaultServerConfig())
 	if err != nil {
@@ -304,7 +307,6 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Serve() }()
-	time.Sleep(50 * time.Millisecond)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,6 +317,19 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("serve did not return after close")
+	}
+
+	// The order the race above may hide: Close completes before Serve
+	// ever reaches Accept.
+	s, err = NewServer("127.0.0.1:0", DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(); err != nil {
+		t.Fatalf("serve on a closed server returned %v", err)
 	}
 }
 

@@ -1,15 +1,14 @@
 package lint
 
 // gostmt: the DES engine is single-threaded by design — determinism is
-// guaranteed by a sequence-numbered event calendar, and a goroutine
-// launched from inside an event handler races the calendar itself.
-// Since internal/parallel landed, it is the single sanctioned
-// concurrency entry point for simulated code, so the analyzer enforces
-// three rules:
+// guaranteed by a sequence-numbered timer calendar, and a goroutine
+// launched from inside a timer handler races the calendar itself.
+// internal/parallel is the single sanctioned concurrency entry point
+// for simulated code, so the analyzer enforces three rules:
 //
-//  1. go statements inside DES event handlers (Sim.At/After/Every
-//     callbacks, Process.Then/ThenNamed stages) are findings, as before.
-//  2. Calls into internal/parallel from inside a DES event handler are
+//  1. go statements inside DES handlers (the callbacks passed to
+//     des.Sim.Every) are findings.
+//  2. Calls into internal/parallel from inside a DES handler are
 //     findings too: fan-out must happen outside the simulated event
 //     loop, or the pool's goroutines race the calendar just the same.
 //  3. Any other go statement in simulated code is a finding — express
@@ -27,8 +26,7 @@ import (
 // desCallbackMethods maps des receiver type name -> methods whose
 // function-literal arguments run as event handlers.
 var desCallbackMethods = map[string]map[string]bool{
-	"Sim":     {"At": true, "After": true, "Every": true},
-	"Process": {"Then": true, "ThenNamed": true},
+	"Sim": {"Every": true},
 }
 
 // gostmtExemptPkgs may spawn goroutines without annotation:

@@ -1,4 +1,4 @@
-// Fixture: gostmt flags go statements spawned inside DES event
+// Fixture: gostmt flags go statements spawned inside DES timer
 // handlers (where they would race the single-threaded virtual clock),
 // calls into internal/parallel from inside a handler (fan-out must
 // stay outside the event loop), and any other go statement in
@@ -16,18 +16,14 @@ func work() {}
 
 func schedule(start time.Time) {
 	s := des.New(start)
-	_, _ = s.After(time.Minute, func() {
+	_ = s.Every(time.Minute, func() {
 		go work() // want gostmt
 	})
-	_, _ = s.At(start.Add(time.Hour), func() {
+	_ = s.Every(time.Hour, func() {
 		work()
 	})
-	_, _ = s.Every(time.Minute, func() {
+	_ = s.Every(time.Minute, func() {
 		_, _ = parallel.Map(2, 4, func(i int) (int, error) { return i, nil }) // want gostmt
-	})
-	p := des.NewProcess(s)
-	_ = p.Then(time.Second, func(pp *des.Process) {
-		go work() // want gostmt
 	})
 	go work() // want gostmt
 	s.Run(start.Add(2 * time.Hour))

@@ -98,9 +98,6 @@ func (b *UploadBuffer) Pop() (netsim.Bytes, bool) {
 // Len returns the number of buffered payloads.
 func (b *UploadBuffer) Len() int { return len(b.q) }
 
-// Cap returns the buffer's capacity.
-func (b *UploadBuffer) Cap() int { return b.capacity }
-
 // Dropped returns how many payloads were evicted over the buffer's
 // lifetime.
 func (b *UploadBuffer) Dropped() int { return b.dropped }
@@ -153,9 +150,6 @@ type FaultyCampaignStats struct {
 	// FallbackEnergy is the edge energy spent on local inference runs.
 	FallbackEnergy units.Joules
 }
-
-// DeliveredAll returns fresh plus flushed deliveries.
-func (s FaultyCampaignStats) DeliveredAll() int { return s.Delivered + s.Flushed }
 
 // Conserved reports whether every routine's payload is accounted for.
 func (s FaultyCampaignStats) Conserved() bool {

@@ -98,9 +98,6 @@ func (c Cycle) CloudEnergy() units.Joules {
 	return e
 }
 
-// TotalEnergy returns the system-wide energy of the cycle.
-func (c Cycle) TotalEnergy() units.Joules { return c.EdgeEnergy() + c.CloudEnergy() }
-
 // Duration returns the edge timeline length (always the full period).
 func (c Cycle) Duration() time.Duration {
 	_, d := power.Sum(c.EdgeTasks)

@@ -74,15 +74,6 @@ func (s *Series) Span() (start, end time.Time) {
 	return s.points[0].T, s.points[len(s.points)-1].T
 }
 
-// Values returns a copy of the observation values in order.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.points))
-	for i, p := range s.points {
-		vs[i] = p.V
-	}
-	return vs
-}
-
 // ValueAt returns the last observation at or before t (sample-and-hold
 // interpolation) and whether one exists.
 func (s *Series) ValueAt(t time.Time) (float64, bool) {
