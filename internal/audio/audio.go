@@ -115,9 +115,11 @@ func (s *Synth) Clip(state hive.QueenState, activity float64) []float64 {
 	humAmp := 0.25 + 0.5*activity
 	const harmonics = 6
 	// Random initial phases per harmonic, plus a slow random-walk pitch.
-	phases := make([]float64, harmonics)
+	// Each harmonic's amplitude is fixed for the clip.
+	var phases, amps [harmonics]float64
 	for h := range phases {
 		phases[h] = s.r.Range(0, 2*math.Pi)
+		amps[h] = humAmp * math.Pow(float64(h+1), -harmDecay)
 	}
 	pitch := f0
 	dt := 1 / float64(s.cfg.SampleRate)
@@ -135,8 +137,7 @@ func (s *Synth) Clip(state hive.QueenState, activity float64) []float64 {
 		for h := 0; h < harmonics; h++ {
 			freq := pitch * float64(h+1)
 			phases[h] += 2 * math.Pi * freq * dt
-			amp := humAmp * math.Pow(float64(h+1), -harmDecay)
-			v += amp * math.Sin(phases[h])
+			v += amps[h] * math.Sin(phases[h])
 		}
 		am := 1 + 0.25*math.Sin(2*math.Pi*amFreq*float64(i)*dt+amPhase)
 		v *= am

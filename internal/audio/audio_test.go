@@ -3,6 +3,8 @@ package audio
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -278,5 +280,40 @@ func TestWAVClipsOutOfRange(t *testing.T) {
 func TestWAVErrors(t *testing.T) {
 	if err := WriteWAV(&bytes.Buffer{}, []float64{0}, 0); err == nil {
 		t.Error("zero rate accepted")
+	}
+}
+
+// learnCfg is the learn benchmark's corpus shape: 40 half-second clips.
+func learnCfg() Config {
+	return Config{SampleRate: SampleRate, Seconds: 0.5, Seed: 1}
+}
+
+// TestCorpusBitsPinned pins the exact samples of the learn corpus: the
+// FNV-64a hash of every sample's little-endian float64 bits. Any change
+// to the synthesizer's arithmetic, however small, moves it.
+func TestCorpusBitsPinned(t *testing.T) {
+	corpus, err := Corpus(learnCfg(), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, c := range corpus {
+		for _, v := range c.Samples {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "a13349d1e14911d2"; got != want {
+		t.Fatalf("corpus hash = %s, want %s", got, want)
+	}
+}
+
+func BenchmarkCorpus(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Corpus(learnCfg(), 40); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

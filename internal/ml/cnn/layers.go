@@ -16,11 +16,16 @@ type conv2D struct {
 	weight    *Param // [outC][inC][k][k]
 	bias      *Param // [outC]
 	input     *Tensor
+	out, dx   *Tensor
+	// colLo[kw], colHi[kw] bound the output columns whose tap kw lands
+	// inside the current input's width.
+	colLo, colHi []int
 }
 
 // newConv2D creates a convolution with He-normal initialization.
 func newConv2D(inC, outC, kernel, stride, pad int, r *rng.Source) *conv2D {
-	c := &conv2D{InC: inC, OutC: outC, Kernel: kernel, Stride: stride, Pad: pad}
+	c := &conv2D{InC: inC, OutC: outC, Kernel: kernel, Stride: stride, Pad: pad,
+		colLo: make([]int, kernel), colHi: make([]int, kernel)}
 	c.weight = newParam(outC * inC * kernel * kernel)
 	c.bias = newParam(outC)
 	std := math.Sqrt(2.0 / float64(inC*kernel*kernel))
@@ -36,78 +41,112 @@ func (c *conv2D) outSize(h, w int) (int, int) {
 	return oh, ow
 }
 
-func (c *conv2D) wIdx(oc, ic, kh, kw int) int {
-	return ((oc*c.InC+ic)*c.Kernel+kh)*c.Kernel + kw
+// taps returns the kernel taps [k0, k1) that land inside an input of
+// length n for output coordinate o; the range is empty when k1 <= k0.
+func (c *conv2D) taps(o, n int) (k0, k1 int) {
+	i0 := o*c.Stride - c.Pad
+	return max(0, -i0), min(c.Kernel, n-i0)
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Each output row starts at the bias and takes
+// one pass per kernel tap, in (ic, kh, kw) order, over the columns that
+// tap reaches: every output adds its products in the same order as a
+// per-output loop over the taps would.
 func (c *conv2D) Forward(x *Tensor) *Tensor {
 	if x.C != c.InC {
 		panic(fmt.Sprintf("cnn: conv expects %d channels, got %d", c.InC, x.C))
 	}
 	c.input = x
 	oh, ow := c.outSize(x.H, x.W)
-	out := NewTensor(c.OutC, oh, ow)
+	c.out = reuse(c.out, c.OutC, oh, ow)
+	k, s := c.Kernel, c.Stride
+	for kw := range k {
+		// Columns ox with 0 <= ox*s + kw - Pad < x.W.
+		lo, hi := 0, 0
+		if d := c.Pad - kw; d > 0 {
+			lo = (d + s - 1) / s
+		}
+		if d := x.W - 1 + c.Pad - kw; d >= 0 {
+			hi = min(ow, d/s+1)
+		}
+		c.colLo[kw], c.colHi[kw] = lo, hi
+	}
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.bias.Data[oc]
 		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				sum := b
-				for ic := 0; ic < c.InC; ic++ {
-					for kh := 0; kh < c.Kernel; kh++ {
-						iy := oy*c.Stride + kh - c.Pad
-						if iy < 0 || iy >= x.H {
+			orow := c.out.Data[(oc*oh+oy)*ow:][:ow]
+			for i := range orow {
+				orow[i] = b
+			}
+			kh0, kh1 := c.taps(oy, x.H)
+			for ic := 0; ic < c.InC; ic++ {
+				w := c.weight.Data[(oc*c.InC+ic)*k*k:][:k*k]
+				for kh := kh0; kh < kh1; kh++ {
+					xrow := x.Data[(ic*x.H+oy*s+kh-c.Pad)*x.W:][:x.W]
+					for kw, wv := range w[kh*k : (kh+1)*k] {
+						lo, hi := c.colLo[kw], c.colHi[kw]
+						if lo >= hi {
 							continue
 						}
-						for kw := 0; kw < c.Kernel; kw++ {
-							ix := ox*c.Stride + kw - c.Pad
-							if ix < 0 || ix >= x.W {
-								continue
+						ix := lo*s + kw - c.Pad
+						if s == 1 {
+							o := orow[lo:hi]
+							for i, v := range xrow[ix : ix+len(o)] {
+								o[i] += wv * v
 							}
-							sum += c.weight.Data[c.wIdx(oc, ic, kh, kw)] * x.At(ic, iy, ix)
+							continue
+						}
+						for ox := lo; ox < hi; ox++ {
+							orow[ox] += wv * xrow[ix]
+							ix += s
 						}
 					}
 				}
-				out.Set(oc, oy, ox, sum)
 			}
 		}
 	}
-	return out
+	return c.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It visits outputs in (oc, oy, ox) order and
+// skips zero gradients, so every weight-grad, bias-grad and dx element
+// accumulates its terms in the same order as a per-tap loop would.
 func (c *conv2D) Backward(grad *Tensor) *Tensor {
 	x := c.input
-	dx := NewTensor(x.C, x.H, x.W)
+	c.dx = reuse(c.dx, x.C, x.H, x.W)
+	clear(c.dx.Data)
+	k, s := c.Kernel, c.Stride
 	for oc := 0; oc < c.OutC; oc++ {
 		for oy := 0; oy < grad.H; oy++ {
-			for ox := 0; ox < grad.W; ox++ {
-				g := grad.At(oc, oy, ox)
+			kh0, kh1 := c.taps(oy, x.H)
+			for ox, g := range grad.Data[(oc*grad.H+oy)*grad.W:][:grad.W] {
 				if g == 0 {
 					continue
 				}
 				c.bias.Grad[oc] += g
+				kw0, kw1 := c.taps(ox, x.W)
+				if kw0 >= kw1 {
+					continue
+				}
+				ix := ox*s - c.Pad
 				for ic := 0; ic < c.InC; ic++ {
-					for kh := 0; kh < c.Kernel; kh++ {
-						iy := oy*c.Stride + kh - c.Pad
-						if iy < 0 || iy >= x.H {
-							continue
-						}
-						for kw := 0; kw < c.Kernel; kw++ {
-							ix := ox*c.Stride + kw - c.Pad
-							if ix < 0 || ix >= x.W {
-								continue
-							}
-							idx := c.wIdx(oc, ic, kh, kw)
-							c.weight.Grad[idx] += g * x.At(ic, iy, ix)
-							dx.Add(ic, iy, ix, g*c.weight.Data[idx])
+					for kh := kh0; kh < kh1; kh++ {
+						row := (ic*x.H+oy*s+kh-c.Pad)*x.W + ix
+						xs := x.Data[row+kw0 : row+kw1]
+						dxs := c.dx.Data[row+kw0 : row+kw1][:len(xs)]
+						wi := ((oc*c.InC+ic)*k + kh) * k
+						ws := c.weight.Data[wi+kw0 : wi+kw1][:len(xs)]
+						wgs := c.weight.Grad[wi+kw0 : wi+kw1][:len(xs)]
+						for i, xv := range xs {
+							wgs[i] += g * xv
+							dxs[i] += g * ws[i]
 						}
 					}
 				}
 			}
 		}
 	}
-	return dx
+	return c.dx
 }
 
 // Params implements Layer.
@@ -122,32 +161,36 @@ func (c *conv2D) FLOPs(_, h, w int) (float64, int, int, int) {
 
 // relu is the rectified linear activation.
 type relu struct {
-	mask []bool
+	mask    []bool
+	out, dx *Tensor
 }
 
 // Forward implements Layer.
 func (r *relu) Forward(x *Tensor) *Tensor {
-	out := x.Clone()
-	r.mask = make([]bool, len(x.Data))
-	for i, v := range out.Data {
-		if v <= 0 {
-			out.Data[i] = 0
-		} else {
-			r.mask[i] = true
-		}
+	r.out = reuse(r.out, x.C, x.H, x.W)
+	if len(r.mask) != len(x.Data) {
+		r.mask = make([]bool, len(x.Data))
 	}
-	return out
+	for i, v := range x.Data {
+		r.mask[i] = !(v <= 0) // NaN passes through
+		if !r.mask[i] {
+			v = 0
+		}
+		r.out.Data[i] = v
+	}
+	return r.out
 }
 
 // Backward implements Layer.
 func (r *relu) Backward(grad *Tensor) *Tensor {
-	dx := grad.Clone()
-	for i := range dx.Data {
+	r.dx = reuse(r.dx, grad.C, grad.H, grad.W)
+	for i, g := range grad.Data {
 		if !r.mask[i] {
-			dx.Data[i] = 0
+			g = 0
 		}
+		r.dx.Data[i] = g
 	}
-	return dx
+	return r.dx
 }
 
 // Params implements Layer.
@@ -161,8 +204,9 @@ func (r *relu) FLOPs(c, h, w int) (float64, int, int, int) {
 // maxPool2 is a 2x2 max pooling with stride 2. Odd trailing rows/columns
 // are dropped (floor semantics).
 type maxPool2 struct {
-	input  *Tensor
-	argmax []int // flat input index chosen per output element
+	input   *Tensor
+	argmax  []int // flat input index chosen per output element
+	out, dx *Tensor
 }
 
 // Forward implements Layer.
@@ -172,38 +216,40 @@ func (p *maxPool2) Forward(x *Tensor) *Tensor {
 		panic(fmt.Sprintf("cnn: input %dx%d too small to pool", x.H, x.W))
 	}
 	p.input = x
-	out := NewTensor(x.C, oh, ow)
-	p.argmax = make([]int, x.C*oh*ow)
+	p.out = reuse(p.out, x.C, oh, ow)
+	if len(p.argmax) != len(p.out.Data) {
+		p.argmax = make([]int, len(p.out.Data))
+	}
+	o := 0
 	for c := 0; c < x.C; c++ {
 		for oy := 0; oy < oh; oy++ {
+			top := (c*x.H + 2*oy) * x.W
 			for ox := 0; ox < ow; ox++ {
+				i := top + 2*ox
 				best := math.Inf(-1)
 				bestIdx := 0
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						iy, ix := oy*2+dy, ox*2+dx
-						v := x.At(c, iy, ix)
-						if v > best {
-							best = v
-							bestIdx = (c*x.H+iy)*x.W + ix
-						}
+				for _, j := range [4]int{i, i + 1, i + x.W, i + x.W + 1} {
+					if v := x.Data[j]; v > best {
+						best, bestIdx = v, j
 					}
 				}
-				out.Set(c, oy, ox, best)
-				p.argmax[(c*oh+oy)*ow+ox] = bestIdx
+				p.out.Data[o] = best
+				p.argmax[o] = bestIdx
+				o++
 			}
 		}
 	}
-	return out
+	return p.out
 }
 
 // Backward implements Layer.
 func (p *maxPool2) Backward(grad *Tensor) *Tensor {
-	dx := NewTensor(p.input.C, p.input.H, p.input.W)
+	p.dx = reuse(p.dx, p.input.C, p.input.H, p.input.W)
+	clear(p.dx.Data)
 	for i, g := range grad.Data {
-		dx.Data[p.argmax[i]] += g
+		p.dx.Data[p.argmax[i]] += g
 	}
-	return dx
+	return p.dx
 }
 
 // Params implements Layer.
@@ -221,6 +267,7 @@ type dense struct {
 	weight  *Param // [out][in]
 	bias    *Param
 	input   *Tensor
+	out, dx *Tensor
 }
 
 // newDense creates a fully connected layer with He initialization.
@@ -241,21 +288,23 @@ func (d *dense) Forward(x *Tensor) *Tensor {
 		panic(fmt.Sprintf("cnn: dense expects %d inputs, got %d", d.In, len(x.Data)))
 	}
 	d.input = x
-	out := NewTensor(d.Out, 1, 1)
+	d.out = reuse(d.out, d.Out, 1, 1)
 	for o := 0; o < d.Out; o++ {
 		sum := d.bias.Data[o]
 		row := d.weight.Data[o*d.In : (o+1)*d.In]
 		for i, v := range x.Data {
 			sum += row[i] * v
 		}
-		out.Data[o] = sum
+		d.out.Data[o] = sum
 	}
-	return out
+	return d.out
 }
 
 // Backward implements Layer.
 func (d *dense) Backward(grad *Tensor) *Tensor {
-	dx := NewTensor(d.input.C, d.input.H, d.input.W)
+	d.dx = reuse(d.dx, d.input.C, d.input.H, d.input.W)
+	dx := d.dx
+	clear(dx.Data)
 	for o := 0; o < d.Out; o++ {
 		g := grad.Data[o]
 		d.bias.Grad[o] += g
@@ -284,8 +333,9 @@ func (d *dense) FLOPs(_, _, _ int) (float64, int, int, int) {
 type residual struct {
 	conv1, conv2 *conv2D
 	relu1        *relu
-	sumInput     *Tensor // x, for the skip connection
 	preAct       *Tensor // x + g(x), for the outer ReLU mask
+	out          *Tensor
+	dSum         *Tensor // gradient at x + g(x), then at x
 }
 
 // newResidual builds a residual block over ch channels.
@@ -299,42 +349,41 @@ func newResidual(ch int, r *rng.Source) *residual {
 
 // Forward implements Layer.
 func (b *residual) Forward(x *Tensor) *Tensor {
-	b.sumInput = x
 	g := b.conv2.Forward(b.relu1.Forward(b.conv1.Forward(x)))
 	if !g.SameShape(x) {
 		panic("cnn: residual branch changed shape")
 	}
-	sum := x.Clone()
-	for i := range sum.Data {
-		sum.Data[i] += g.Data[i]
-	}
-	b.preAct = sum
-	out := sum.Clone()
-	for i, v := range out.Data {
-		if v <= 0 {
-			out.Data[i] = 0
+	b.preAct = reuse(b.preAct, x.C, x.H, x.W)
+	b.out = reuse(b.out, x.C, x.H, x.W)
+	for i, v := range x.Data {
+		sum := v + g.Data[i]
+		b.preAct.Data[i] = sum
+		if sum <= 0 {
+			sum = 0
 		}
+		b.out.Data[i] = sum
 	}
-	return out
+	return b.out
 }
 
 // Backward implements Layer.
 func (b *residual) Backward(grad *Tensor) *Tensor {
 	// Through the outer ReLU.
-	dSum := grad.Clone()
-	for i := range dSum.Data {
+	b.dSum = reuse(b.dSum, grad.C, grad.H, grad.W)
+	dSum := b.dSum
+	for i, g := range grad.Data {
 		if b.preAct.Data[i] <= 0 {
-			dSum.Data[i] = 0
+			g = 0
 		}
+		dSum.Data[i] = g
 	}
 	// Branch gradient.
 	dBranch := b.conv1.Backward(b.relu1.Backward(b.conv2.Backward(dSum)))
 	// Skip connection adds the sum gradient directly.
-	dx := dSum.Clone()
-	for i := range dx.Data {
-		dx.Data[i] += dBranch.Data[i]
+	for i := range dSum.Data {
+		dSum.Data[i] += dBranch.Data[i]
 	}
-	return dx
+	return dSum
 }
 
 // Params implements Layer.

@@ -9,12 +9,16 @@ import (
 	"beesim/internal/rng"
 )
 
-// Network is a sequential stack of layers ending in class logits.
+// Network is a sequential stack of layers ending in class logits. Its
+// layers reuse their buffers from one example to the next, so a Network
+// is not safe for concurrent use.
 type Network struct {
 	layers  []Layer
+	params  []*Param
 	classes int
 	inC     int
 	inSize  int
+	grad    *Tensor // dL/d(logits) of the current example
 }
 
 // Config shapes the queen-detection network.
@@ -64,14 +68,20 @@ func New(cfg Config) (*Network, error) {
 		&maxPool2{},
 		newDense(ch2*s3*s3, cfg.Classes, r),
 	}
+	for _, l := range n.layers {
+		n.params = append(n.params, l.Params()...)
+	}
+	n.grad = NewTensor(cfg.Classes, 1, 1)
 	return n, nil
 }
 
-// InputSize returns the expected square input side length.
-func (n *Network) InputSize() int { return n.inSize }
-
 // Forward runs the network and returns the class logits.
 func (n *Network) Forward(x *Tensor) []float64 {
+	return append([]float64(nil), n.forward(x).Data...)
+}
+
+// forward runs the network and returns the last layer's own output.
+func (n *Network) forward(x *Tensor) *Tensor {
 	if x.C != n.inC || x.H != n.inSize || x.W != n.inSize {
 		panic(fmt.Sprintf("cnn: input %dx%dx%d, want %dx%dx%d",
 			x.C, x.H, x.W, n.inC, n.inSize, n.inSize))
@@ -80,18 +90,18 @@ func (n *Network) Forward(x *Tensor) []float64 {
 	for _, l := range n.layers {
 		cur = l.Forward(cur)
 	}
-	return append([]float64(nil), cur.Data...)
+	return cur
 }
 
-// softmax converts logits to probabilities (numerically stabilized).
-func softmax(logits []float64) []float64 {
+// softmax writes the probabilities of logits (numerically stabilized)
+// into out, which must be as long as logits, and returns it.
+func softmax(out, logits []float64) []float64 {
 	max := logits[0]
 	for _, v := range logits[1:] {
 		if v > max {
 			max = v
 		}
 	}
-	out := make([]float64, len(logits))
 	var sum float64
 	for i, v := range logits {
 		out[i] = math.Exp(v - max)
@@ -106,15 +116,10 @@ func softmax(logits []float64) []float64 {
 // lossAndGrad returns the cross-entropy loss for one example and runs the
 // full backward pass, accumulating parameter gradients.
 func (n *Network) lossAndGrad(x *Tensor, label int) float64 {
-	logits := n.Forward(x)
-	probs := softmax(logits)
+	probs := softmax(n.grad.Data, n.forward(x).Data)
 	loss := -math.Log(math.Max(probs[label], 1e-12))
-	grad := NewTensor(n.classes, 1, 1)
-	for i, p := range probs {
-		grad.Data[i] = p
-	}
-	grad.Data[label] -= 1
-	cur := grad
+	n.grad.Data[label] -= 1
+	cur := n.grad
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		cur = n.layers[i].Backward(cur)
 	}
@@ -179,13 +184,11 @@ func (n *Network) Train(examples []Example, cfg TrainConfig) error {
 			}
 			// Average gradients over the batch, then step.
 			scale := 1 / float64(end-start)
-			for _, l := range n.layers {
-				for _, p := range l.Params() {
-					for i := range p.Grad {
-						p.Grad[i] *= scale
-					}
-					p.step(cfg.LR, cfg.Momentum)
+			for _, p := range n.params {
+				for i := range p.Grad {
+					p.Grad[i] *= scale
 				}
+				p.step(cfg.LR, cfg.Momentum)
 			}
 			epochLoss += batchLoss
 		}
@@ -198,7 +201,7 @@ func (n *Network) Train(examples []Example, cfg TrainConfig) error {
 
 // PredictImage returns the predicted class of one image tensor.
 func (n *Network) PredictImage(x *Tensor) int {
-	logits := n.Forward(x)
+	logits := n.forward(x).Data
 	best := 0
 	for i, v := range logits {
 		if v > logits[best] {
@@ -228,17 +231,6 @@ func (n *Network) FLOPs() float64 {
 		f, oc, oh, ow := l.FLOPs(c, h, w)
 		total += f
 		c, h, w = oc, oh, ow
-	}
-	return total
-}
-
-// NumParams returns the learnable parameter count.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			total += len(p.Data)
-		}
 	}
 	return total
 }

@@ -26,20 +26,14 @@ func NewTensor(c, h, w int) *Tensor {
 	return &Tensor{C: c, H: h, W: w, Data: make([]float64, c*h*w)}
 }
 
-// At returns the element at (c, y, x).
-func (t *Tensor) At(c, y, x int) float64 { return t.Data[(c*t.H+y)*t.W+x] }
-
-// Set stores v at (c, y, x).
-func (t *Tensor) Set(c, y, x int, v float64) { t.Data[(c*t.H+y)*t.W+x] = v }
-
-// Add accumulates v at (c, y, x).
-func (t *Tensor) Add(c, y, x int, v float64) { t.Data[(c*t.H+y)*t.W+x] += v }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	out := NewTensor(t.C, t.H, t.W)
-	copy(out.Data, t.Data)
-	return out
+// reuse returns t when it already has shape c x h x w, and a new zeroed
+// tensor of that shape otherwise. Layers keep their outputs and input
+// gradients this way, so a training run allocates them once per shape.
+func reuse(t *Tensor, c, h, w int) *Tensor {
+	if t != nil && t.C == c && t.H == h && t.W == w {
+		return t
+	}
+	return NewTensor(c, h, w)
 }
 
 // SameShape reports whether two tensors have identical dimensions.
@@ -71,10 +65,12 @@ func (p *Param) step(lr, momentum float64) {
 // Layer is one differentiable stage of the network.
 type Layer interface {
 	// Forward consumes the input and returns the output, caching
-	// whatever the backward pass needs.
+	// whatever the backward pass needs. The output belongs to the layer
+	// and is overwritten by its next Forward.
 	Forward(x *Tensor) *Tensor
 	// Backward consumes dL/d(output) and returns dL/d(input),
-	// accumulating parameter gradients along the way.
+	// accumulating parameter gradients along the way. The result belongs
+	// to the layer and is overwritten by its next Backward.
 	Backward(grad *Tensor) *Tensor
 	// Params returns the learnable parameters (nil for stateless layers).
 	Params() []*Param

@@ -1,6 +1,10 @@
 package queendetect
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"beesim/internal/audio"
@@ -221,5 +225,42 @@ func TestPredictErrorPaths(t *testing.T) {
 	}
 	if _, err := res.Predict(make([]float64, 10), audio.SampleRate); err == nil {
 		t.Error("short clip accepted by SVM Predict")
+	}
+}
+
+// TestCNNLearnShapePinned pins the CNN trained at the learn benchmark's
+// shape (40 half-second clips, 40x40 input, 4 channels, 4 epochs at LR
+// 0.01, seed 1): the FNV-64a hash of the little-endian float64 bits of
+// its logits on every image of the corpus. The logits are a function of
+// every trained weight that reaches the output, so a change of any bit
+// of the training arithmetic moves the hash.
+func TestCNNLearnShapePinned(t *testing.T) {
+	corpus, err := audio.Corpus(audio.Config{SampleRate: audio.SampleRate, Seconds: 0.5, Seed: 1}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultCNNOptions()
+	opts.Size = 40
+	opts.Channels = 4
+	opts.Train.Epochs = 4
+	opts.Train.LR = 0.01
+	res, err := TrainCNN(corpus, audio.SampleRate, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	examples, _, err := BuildImageDataset(corpus, audio.SampleRate, opts.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, ex := range examples {
+		for _, v := range res.Network.Forward(ex.Image) {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "7f35d8bbbb393ed9"; got != want {
+		t.Fatalf("trained CNN logits hash = %s, want %s", got, want)
 	}
 }
