@@ -143,7 +143,8 @@ type (
 	AudioConfig = audio.Config
 	// SVMDetector is a trained classical queen detector.
 	SVMDetector = queendetect.SVMResult
-	// CNNDetector is a trained deep queen detector.
+	// CNNDetector is a trained deep queen detector. It is not safe for
+	// concurrent use: Predict reuses the network's layer buffers.
 	CNNDetector = queendetect.CNNResult
 	// CNNOptions tune the deep detector's training.
 	CNNOptions = queendetect.CNNOptions

@@ -85,17 +85,7 @@ func (c *conv2D) Forward(x *Tensor) *Tensor {
 					xrow := x.Data[(ic*x.H+oy*s+kh-c.Pad)*x.W:][:x.W]
 					for kw, wv := range w[kh*k : (kh+1)*k] {
 						lo, hi := c.colLo[kw], c.colHi[kw]
-						if lo >= hi {
-							continue
-						}
 						ix := lo*s + kw - c.Pad
-						if s == 1 {
-							o := orow[lo:hi]
-							for i, v := range xrow[ix : ix+len(o)] {
-								o[i] += wv * v
-							}
-							continue
-						}
 						for ox := lo; ox < hi; ox++ {
 							orow[ox] += wv * xrow[ix]
 							ix += s

@@ -170,6 +170,8 @@ func (r *SVMResult) Predict(clip []float64, sampleRate int) (bool, error) {
 }
 
 // CNNResult is a trained-and-evaluated CNN service at one input size.
+// Predict runs the network through its layers' reused buffers, so a
+// CNNResult is not safe for concurrent use.
 type CNNResult struct {
 	Network *cnn.Network
 	Size    int
