@@ -102,11 +102,13 @@ obs-bench:
 # smoke run, benchmark regex, then the go test flags of the baseline
 # run. The regex holds no spaces; the flags take the rest of the line.
 # BENCH_obs.json holds the observability-overhead benchmarks (DES loop
-# with obs/ledger on and off, ledger append/audit/export, spans and
-# exemplars); compare a branch against it to spot probe regressions.
+# with obs/ledger on and off, ledger append/audit/export, the 7-day
+# deployment run with its ledger, spans and exemplars); compare a branch
+# against it to spot probe regressions.
 define BENCH_SETS
-BENCH_obs.json      .                   300x  BenchmarkDESLoop  -benchtime 3000x -count 3
+BENCH_obs.json      .                   300x  BenchmarkDESLoop  -benchmem -benchtime 3000x -count 3
 BENCH_obs.json      ./internal/ledger/  1s    BenchmarkLedger  -benchmem -count 3
+BENCH_obs.json      ./internal/deployment/ 3x BenchmarkDeploymentRunLedger  -benchmem -benchtime 20x -count 3
 BENCH_obs.json      ./internal/obs/     1s    BenchmarkSpanStart|BenchmarkHistogramObserveExemplar  -benchmem -count 3
 BENCH_parallel.json .                   10x   BenchmarkSweep(Serial|Parallel)$$|BenchmarkMelSpectrogram(Cold|Cached|Plan)$$|BenchmarkRFFT$$|BenchmarkOptimizeParallel|BenchmarkCampaignParallel  -benchmem -count 3 -benchtime 10x
 BENCH_lint.json     ./internal/lint/    1x    BenchmarkLintModule  -benchtime 1x -count 3

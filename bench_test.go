@@ -473,6 +473,7 @@ func BenchmarkSeasonal(b *testing.B) {
 // fresh calendar. setup attaches (or not) the observability probes.
 func desLoop(b *testing.B, setup func(*des.Sim)) {
 	b.Helper()
+	b.ReportAllocs()
 	start := time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < b.N; i++ {
 		s := des.New(start)
@@ -510,6 +511,7 @@ func BenchmarkDESLoopObsDisabled(b *testing.B) {
 // so the disabled cost per tick is one pointer comparison; the
 // acceptance bar is <= 5% over BenchmarkDESLoopBare.
 func BenchmarkDESLoopLedgerNil(b *testing.B) {
+	b.ReportAllocs()
 	var lg *ledger.Ledger
 	start := time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < b.N; i++ {

@@ -220,6 +220,16 @@ func Run(cfg Config) (*Trace, error) {
 		BatterySoC:      timeseries.New("battery SoC", ""),
 		PanelPower:      timeseries.New("panel power", "W"),
 	}
+	// The horizon fixes every series' length up front: one point per
+	// environment tick (the recorder trace keeps a subset of them) and
+	// one inside reading per wake-up at most.
+	horizon := time.Duration(cfg.Days) * 24 * time.Hour
+	for _, s := range []*timeseries.Series{tr.RecorderPower, tr.OutsideTemp,
+		tr.OutsideHumidity, tr.BatterySoC, tr.PanelPower} {
+		s.Grow(int(horizon / cfg.SampleEvery))
+	}
+	tr.InsideTemp.Grow(int(horizon / cfg.WakePeriod))
+	tr.InsideHumidity.Grow(int(horizon / cfg.WakePeriod))
 
 	// Observability: attach the engine, battery and uplink probes, label
 	// the trace tracks, and build the deployment's own instruments. With
@@ -366,11 +376,13 @@ func Run(cfg Config) (*Trace, error) {
 		tr.OutsideHumidity.MustAppend(now, float64(sample.Humidity))
 		tr.BatterySoC.MustAppend(now, pack.SoC())
 		tr.PanelPower.MustAppend(now, float64(pv))
-		cfg.Tracer.Sample("hive power", obs.TidPower, now, map[string]any{
-			"battery_soc":  pack.SoC(),
-			"panel_watts":  float64(pv),
-			"irradiance_w": float64(irr),
-		})
+		if cfg.Tracer != nil {
+			cfg.Tracer.Sample("hive power", obs.TidPower, now, map[string]any{
+				"battery_soc":  pack.SoC(),
+				"panel_watts":  float64(pv),
+				"irradiance_w": float64(irr),
+			})
+		}
 	}
 
 	// Wake-up tick: the Pi Zero signals the Pi 3B+ over GPIO.
@@ -407,13 +419,13 @@ func Run(cfg Config) (*Trace, error) {
 				cfg.Tracer.SpanCtx(sc.Child("compute", 0), "compute", "deployment",
 					obs.TidRoutine, now.Add(transfer.Duration), fixedDur,
 					map[string]any{"joules": float64(fixedEnergy)})
+				cfg.Tracer.SpanCtx(sc, "wake-up routine", "deployment", obs.TidRoutine, now, routineDur,
+					map[string]any{
+						"joules":         wakeJ,
+						"transfer_bytes": int64(transfer.Payload),
+						"transfer_us":    transfer.Duration.Microseconds(),
+					})
 			}
-			cfg.Tracer.SpanCtx(sc, "wake-up routine", "deployment", obs.TidRoutine, now, routineDur,
-				map[string]any{
-					"joules":         wakeJ,
-					"transfer_bytes": int64(transfer.Payload),
-					"transfer_us":    transfer.Duration.Microseconds(),
-				})
 		} else {
 			// Fault-aware path: retry the upload under the armed
 			// policy, buffer it on failure, and drain the backlog
@@ -452,8 +464,10 @@ func Run(cfg Config) (*Trace, error) {
 					tr.DroppedUploads++
 					mDropped.Inc()
 				}
-				cfg.Tracer.InstantCtx(sc, "upload failed", "deployment", obs.TidNetwork, now,
-					map[string]any{"attempts": out.Attempts})
+				if sc != nil {
+					cfg.Tracer.InstantCtx(sc, "upload failed", "deployment", obs.TidNetwork, now,
+						map[string]any{"attempts": out.Attempts})
+				}
 			}
 			routineDur := fixedDur + busy
 			routineUntil = now.Add(routineDur)
@@ -464,13 +478,13 @@ func Run(cfg Config) (*Trace, error) {
 				cfg.Tracer.SpanCtx(sc.Child("compute", 0), "compute", "deployment",
 					obs.TidRoutine, now.Add(busy), fixedDur,
 					map[string]any{"joules": float64(fixedEnergy)})
+				cfg.Tracer.SpanCtx(sc, "wake-up routine", "deployment", obs.TidRoutine, now, routineDur,
+					map[string]any{
+						"joules":    wakeJ,
+						"attempts":  out.Attempts,
+						"delivered": out.Delivered,
+					})
 			}
-			cfg.Tracer.SpanCtx(sc, "wake-up routine", "deployment", obs.TidRoutine, now, routineDur,
-				map[string]any{
-					"joules":    wakeJ,
-					"attempts":  out.Attempts,
-					"delivered": out.Delivered,
-				})
 		}
 
 		// Sensor readings at the queen excluder; an injected sensor
@@ -493,7 +507,7 @@ func Run(cfg Config) (*Trace, error) {
 	if err := sim.Every(cfg.WakePeriod, wakeTick); err != nil {
 		return nil, err
 	}
-	sim.Run(cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour))
+	sim.Run(cfg.Start.Add(horizon))
 	cfg.Ledger.SetStore(hiveID, "battery", initialStoredJ, float64(pack.Stored().Joules()))
 	if buf != nil {
 		tr.BufferedUploads = buf.Len()

@@ -309,13 +309,15 @@ func AvailabilitySweep(cfg AvailabilityConfig) ([]AvailabilityPoint, error) {
 		// the merged registry snapshots to identical bytes.
 		cfg.Metrics.Merge(ev.reg)
 		at := epoch.Add(time.Duration(i) * time.Millisecond)
-		cfg.Tracer.Span(fmt.Sprintf("availability %.2f", p.Availability), "sweep",
-			obs.TidEngine, at, time.Millisecond, map[string]any{
-				"availability":    p.Availability,
-				"delivery_prob":   p.DeliveryProb,
-				"first_crossover": p.FirstCrossover,
-				"cloud_j_client":  float64(p.CloudJClient),
-			})
+		if cfg.Tracer != nil {
+			cfg.Tracer.Span(fmt.Sprintf("availability %.2f", p.Availability), "sweep",
+				obs.TidEngine, at, time.Millisecond, map[string]any{
+					"availability":    p.Availability,
+					"delivery_prob":   p.DeliveryProb,
+					"first_crossover": p.FirstCrossover,
+					"cloud_j_client":  float64(p.CloudJClient),
+				})
+		}
 		if cfg.Ledger != nil {
 			hive := fmt.Sprintf("avail-%.2f", p.Availability)
 			cfg.Ledger.Append(ledger.Entry{

@@ -107,47 +107,51 @@ func Audit(l *Ledger, tol Tolerance) AuditReport {
 	if l == nil {
 		return rep
 	}
-	entries := l.Entries()
-	deltas := l.Stores()
+	l.mu.Lock()
+	runs := l.runsLocked()
+	deltas := l.storesLocked()
+	l.mu.Unlock()
 
-	balances := map[string]*balance{}
-	key := func(hive, store string) string { return hive + "\x00" + store }
-	for _, e := range entries {
-		if e.Store == "" {
-			rep.AttributionOnly++
-			continue
-		}
-		b := balances[key(e.Hive, e.Store)]
-		if b == nil {
-			b = &balance{perComponent: map[string]float64{}}
-			balances[key(e.Hive, e.Store)] = b
-		}
-		b.entries++
-		rep.EntriesAudited++
-		switch e.Dir {
-		case Harvest:
-			b.harvest += e.Joules
-		case Consume:
-			b.consume += e.Joules
-			b.perComponent[componentName(e)] += e.Joules
-		case StoreLoss:
-			b.loss += e.Joules
+	type storeKey struct{ hive, store string }
+	balances := map[storeKey]*balance{}
+	for _, run := range runs {
+		for _, e := range run {
+			if e.Store == "" {
+				rep.AttributionOnly++
+				continue
+			}
+			k := storeKey{e.Hive, e.Store}
+			b := balances[k]
+			if b == nil {
+				b = &balance{perComponent: map[string]float64{}}
+				balances[k] = b
+			}
+			b.entries++
+			rep.EntriesAudited++
+			switch e.Dir {
+			case Harvest:
+				b.harvest += e.Joules
+			case Consume:
+				b.consume += e.Joules
+				b.perComponent[componentName(e)] += e.Joules
+			case StoreLoss:
+				b.loss += e.Joules
+			}
 		}
 	}
 
 	// Every registered store is checked even with zero entries (a
 	// non-zero delta with no flows is itself a violation); every
 	// entry-bearing store is checked even without a delta.
-	seen := map[string]bool{}
+	seen := map[storeKey]bool{}
 	var checks []StoreDelta
 	for _, d := range deltas {
 		checks = append(checks, d)
-		seen[key(d.Hive, d.Store)] = true
+		seen[storeKey{d.Hive, d.Store}] = true
 	}
 	for k := range balances {
 		if !seen[k] {
-			hive, store := splitKey(k)
-			checks = append(checks, StoreDelta{Hive: hive, Store: store})
+			checks = append(checks, StoreDelta{Hive: k.hive, Store: k.store})
 		}
 	}
 	sort.Slice(checks, func(i, j int) bool {
@@ -159,7 +163,7 @@ func Audit(l *Ledger, tol Tolerance) AuditReport {
 
 	for _, d := range checks {
 		rep.StoresChecked++
-		b := balances[key(d.Hive, d.Store)]
+		b := balances[storeKey{d.Hive, d.Store}]
 		if b == nil {
 			b = &balance{perComponent: map[string]float64{}}
 		}
@@ -207,15 +211,6 @@ func componentName(e Entry) string {
 		return e.Component
 	}
 	return e.Device
-}
-
-func splitKey(k string) (hive, store string) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == 0 {
-			return k[:i], k[i+1:]
-		}
-	}
-	return k, ""
 }
 
 // suspect attributes a residual: over-consumption (negative residual)

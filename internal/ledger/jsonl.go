@@ -74,23 +74,25 @@ func writeLine(w io.Writer, v any) error {
 	return err
 }
 
-func writeEntries(w io.Writer, entries []Entry) error {
+func writeEntries(w io.Writer, runs [][]Entry) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range entries {
-		we := wireEntry{
-			K:         "e",
-			T:         e.T.UTC().Format(timeFormat),
-			Hive:      e.Hive,
-			Device:    e.Device,
-			Component: e.Component,
-			Task:      e.Task,
-			Dir:       e.Dir.String(),
-			Joules:    e.Joules,
-			Seconds:   e.Seconds,
-			Store:     e.Store,
-		}
-		if err := writeLine(bw, we); err != nil {
-			return err
+	for _, run := range runs {
+		for _, e := range run {
+			we := wireEntry{
+				K:         "e",
+				T:         e.T.UTC().Format(timeFormat),
+				Hive:      e.Hive,
+				Device:    e.Device,
+				Component: e.Component,
+				Task:      e.Task,
+				Dir:       e.Dir.String(),
+				Joules:    e.Joules,
+				Seconds:   e.Seconds,
+				Store:     e.Store,
+			}
+			if err := writeLine(bw, we); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -112,10 +114,10 @@ func (l *Ledger) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	l.mu.Lock()
-	entries := l.entriesLocked()
+	runs := l.runsLocked()
 	stores := l.storesLocked()
 	l.mu.Unlock()
-	if err := writeEntries(w, entries); err != nil {
+	if err := writeEntries(w, runs); err != nil {
 		return err
 	}
 	for _, d := range stores {

@@ -122,8 +122,14 @@ func (d StoreDelta) DeltaJ() float64 { return d.FinalJ - d.InitialJ }
 // nil *Ledger ignores all operations, so instrumented code can hold
 // one unconditionally.
 type Ledger struct {
-	mu      sync.Mutex
-	cap     int // 0 = unbounded
+	mu  sync.Mutex
+	cap int // 0 = unbounded
+	// An unbounded ledger stores its entries in chunks: full holds the
+	// sealed chunks of chunkLen entries each, entries the open one. A
+	// sealed chunk is never copied again, so a long run pays for each
+	// entry once instead of once per append-doubling. In ring mode full
+	// stays empty and entries is the ring.
+	full    [][]Entry
 	entries []Entry
 	head    int    // ring start index once full
 	total   uint64 // lifetime appends (>= retained count in ring mode)
@@ -155,14 +161,24 @@ func (l *Ledger) Append(e Entry) {
 	}
 	l.mu.Lock()
 	l.total++
-	if l.cap > 0 && len(l.entries) == l.cap {
+	switch {
+	case l.cap > 0 && len(l.entries) == l.cap:
 		l.entries[l.head] = e
 		l.head = (l.head + 1) % l.cap
-	} else {
+	case l.cap == 0 && len(l.entries) == chunkLen:
+		l.full = append(l.full, l.entries)
+		l.entries = append(make([]Entry, 0, chunkLen), e)
+	default:
+		// A ring that is not yet full, or an open chunk. The first
+		// chunk grows by append, so a short ledger stays small.
 		l.entries = append(l.entries, e)
 	}
 	l.mu.Unlock()
 }
+
+// chunkLen is the entry count of a sealed chunk of an unbounded ledger
+// (128 KiB of entries).
+const chunkLen = 1024
 
 // Len returns the number of retained entries (0 for a nil ledger).
 func (l *Ledger) Len() int {
@@ -171,8 +187,10 @@ func (l *Ledger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.entries)
+	return l.lenLocked()
 }
+
+func (l *Ledger) lenLocked() int { return len(l.full)*chunkLen + len(l.entries) }
 
 // Total returns the lifetime append count, including entries a ring
 // has already overwritten.
@@ -196,10 +214,23 @@ func (l *Ledger) Entries() []Entry {
 }
 
 func (l *Ledger) entriesLocked() []Entry {
-	out := make([]Entry, 0, len(l.entries))
+	out := make([]Entry, 0, l.lenLocked())
+	for _, c := range l.full {
+		out = append(out, c...)
+	}
 	out = append(out, l.entries[l.head:]...)
-	out = append(out, l.entries[:l.head]...)
-	return out
+	return append(out, l.entries[:l.head]...)
+}
+
+// runsLocked returns the retained entries in append order as contiguous
+// runs that stay valid after l.mu is released. An unbounded ledger only
+// ever appends, so its sealed chunks and the filled part of its open
+// chunk are shared in place; a ring reuses its slots, so it is copied.
+func (l *Ledger) runsLocked() [][]Entry {
+	if l.cap > 0 {
+		return [][]Entry{l.entriesLocked()}
+	}
+	return append(l.full[:len(l.full):len(l.full)], l.entries)
 }
 
 // SetStore registers (or updates) a store's start/end energy levels
@@ -276,9 +307,9 @@ func (l *Ledger) Trip(reason string) error {
 	if l.dumpW == nil {
 		return nil
 	}
-	dropped := l.total - uint64(len(l.entries))
+	dropped := l.total - uint64(l.lenLocked())
 	if err := writeTripHeader(l.dumpW, reason, dropped); err != nil {
 		return err
 	}
-	return writeEntries(l.dumpW, l.entriesLocked())
+	return writeEntries(l.dumpW, l.runsLocked())
 }

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,83 @@ func TestAppendAndEntriesOrder(t *testing.T) {
 		if e.Joules != float64(i) {
 			t.Fatalf("entry %d out of order: %v", i, e.Joules)
 		}
+	}
+}
+
+// TestChunkedStorageKeepsAppendOrder crosses two chunk seals and
+// checks that every reader still sees one append-ordered sequence: the
+// copy, the JSONL export (against a one-chunk ledger's bytes), the
+// audit and a tripped dump.
+func TestChunkedStorageKeepsAppendOrder(t *testing.T) {
+	if l := New(); l.Entries() == nil || len(l.Entries()) != 0 {
+		t.Fatal("empty ledger: Entries must be a non-nil empty slice")
+	}
+	const n = 2*chunkLen + 7
+	l := New()
+	for i := 0; i < n; i++ {
+		l.Append(entry(i, "h", "edge", "pi3b", "Sleep", Consume, float64(i)))
+	}
+	l.SetStore("h", "battery", float64(n)*float64(n-1)/2, 0)
+	if l.Len() != n || l.Total() != n {
+		t.Fatalf("len=%d total=%d, want %d", l.Len(), l.Total(), n)
+	}
+	got := l.Entries()
+	if len(got) != n {
+		t.Fatalf("Entries returned %d, want %d", len(got), n)
+	}
+	for i, e := range got {
+		if e.Joules != float64(i) {
+			t.Fatalf("entry %d out of order: %v", i, e.Joules)
+		}
+	}
+
+	var chunked, whole bytes.Buffer
+	if err := l.WriteJSONL(&chunked); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeEntries(&whole, [][]Entry{got}); err != nil {
+		t.Fatal(err)
+	}
+	if body := chunked.String(); !strings.Contains(body, whole.String()) ||
+		strings.Count(body, "\n") != n+2 {
+		t.Fatal("chunked JSONL export differs from the contiguous entries")
+	}
+
+	if rep := Audit(l, DefaultTolerance()); !rep.OK() || rep.EntriesAudited != n {
+		t.Fatalf("audit over chunks: %v (audited %d, want %d)", rep, rep.EntriesAudited, n)
+	}
+
+	var dump bytes.Buffer
+	l.AutoDump(&dump)
+	if err := l.Trip("test"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(dump.String(), whole.String()) {
+		t.Fatal("tripped dump differs from the contiguous entries")
+	}
+}
+
+// TestExportWhileAppending exercises the in-place snapshot under the
+// race detector: appends that seal and grow chunks while WriteJSONL
+// and Audit walk an earlier snapshot.
+func TestExportWhileAppending(t *testing.T) {
+	l := New()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3*chunkLen; i++ {
+			l.Append(entry(i, "h", "edge", "pi3b", "Sleep", Consume, 1))
+		}
+	}()
+	for i := 0; i < 4; i++ {
+		if err := l.WriteJSONL(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		Audit(l, DefaultTolerance())
+	}
+	<-done
+	if l.Len() != 3*chunkLen {
+		t.Fatalf("len=%d, want %d", l.Len(), 3*chunkLen)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -60,15 +61,14 @@ func runFixture(t *testing.T, l *Loader, name, importPath string) []Finding {
 	return NewRunner().RunPackage(pkg, l.Fset)
 }
 
-// parseWants reads every fixture file and collects "basename:line: check"
-// expectations from trailing "// want <check> [<check>...]" comments.
-func parseWants(t *testing.T, dir string) []string {
+// wantComments calls fn with the file base name, 1-based line and the
+// text after "// want " of every want comment in the fixture files.
+func wantComments(t *testing.T, dir string, fn func(file string, line int, tail string)) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("read fixture dir: %v", err)
 	}
-	var wants []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -78,17 +78,52 @@ func parseWants(t *testing.T, dir string) []string {
 			t.Fatalf("read fixture file: %v", err)
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			_, tail, ok := strings.Cut(line, "// want ")
-			if !ok {
-				continue
-			}
-			for _, check := range strings.Fields(tail) {
-				wants = append(wants, fmt.Sprintf("%s:%d: %s", e.Name(), i+1, check))
+			if _, tail, ok := strings.Cut(line, "// want "); ok {
+				fn(e.Name(), i+1, tail)
 			}
 		}
 	}
+}
+
+// parseWants reads every fixture file and collects "basename:line: check"
+// expectations from trailing "// want <check> [<check>...]" comments.
+// A quoted message fragment after the checks is for wantMessages.
+func parseWants(t *testing.T, dir string) []string {
+	t.Helper()
+	var wants []string
+	wantComments(t, dir, func(file string, line int, tail string) {
+		checks, _, _ := strings.Cut(tail, `"`)
+		for _, check := range strings.Fields(checks) {
+			wants = append(wants, fmt.Sprintf("%s:%d: %s", file, line, check))
+		}
+	})
 	sort.Strings(wants)
 	return wants
+}
+
+// wantMessages checks the "// want <check> "<fragment>"" comments: the
+// finding of that check on that line must contain the fragment, so a
+// fixture can tell two rules of one check apart.
+func wantMessages(t *testing.T, dir string, fs []Finding) {
+	t.Helper()
+	wantComments(t, dir, func(file string, line int, tail string) {
+		check, quoted, ok := strings.Cut(tail, `"`)
+		if !ok {
+			return
+		}
+		check = strings.TrimSpace(check)
+		frag, err := strconv.Unquote(`"` + quoted)
+		if err != nil {
+			t.Fatalf("%s:%d: bad want message %q: %v", file, line, quoted, err)
+		}
+		for _, f := range fs {
+			if filepath.Base(f.File) == file && f.Line == line && f.Check == check &&
+				strings.Contains(f.Msg, frag) {
+				return
+			}
+		}
+		t.Errorf("%s:%d: no %s finding says %q", file, line, check, frag)
+	})
 }
 
 func findingKeys(fs []Finding) []string {
@@ -163,6 +198,7 @@ func TestFixtures(t *testing.T) {
 			}
 			fs := runFixture(t, l, tc.name, tc.importPath)
 			diffKeys(t, tc.name, findingKeys(fs), parseWants(t, fixtureDir(t, tc.name)), fs)
+			wantMessages(t, fixtureDir(t, tc.name), fs)
 		})
 	}
 }

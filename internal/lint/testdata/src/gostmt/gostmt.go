@@ -17,15 +17,15 @@ func work() {}
 func schedule(start time.Time) {
 	s := des.New(start)
 	_ = s.Every(time.Minute, func() {
-		go work() // want gostmt
+		go work() // want gostmt "go statement inside a des.Sim.Every handler"
 	})
 	_ = s.Every(time.Hour, func() {
 		work()
 	})
 	_ = s.Every(time.Minute, func() {
-		_, _ = parallel.Map(2, 4, func(i int) (int, error) { return i, nil }) // want gostmt
+		_, _ = parallel.Map(2, 4, func(i int) (int, error) { return i, nil }) // want gostmt "parallel.Map inside a des.Sim.Every handler"
 	})
-	go work() // want gostmt
+	go work() // want gostmt "go statement outside internal/parallel"
 	s.Run(start.Add(2 * time.Hour))
 }
 

@@ -183,6 +183,26 @@ func TestMaxPool(t *testing.T) {
 	}
 }
 
+// TestMaxPoolNonFiniteWindowKeepsGradientInside pools a second window
+// holding only -Inf and NaN: it has no maximum above -Inf, and its
+// gradient must still land inside it rather than on element (0, 0, 0).
+func TestMaxPoolNonFiniteWindowKeepsGradientInside(t *testing.T) {
+	p := &maxPool2{}
+	x := NewTensor(1, 2, 4)
+	inf, nan := math.Inf(-1), math.NaN()
+	copy(x.Data, []float64{1, 5, inf, nan, 4, 0, nan, inf})
+	p.Forward(x)
+	g := NewTensor(1, 1, 2)
+	copy(g.Data, []float64{10, 20})
+	dx := p.Backward(g)
+	if dx.Data[1] != 10 || dx.Data[0] != 0 {
+		t.Fatalf("finite window grad = %v, want 10 at its argmax only", dx.Data)
+	}
+	if dx.Data[2] != 20 {
+		t.Fatalf("non-finite window grad = %v, want 20 at its first element (index 2)", dx.Data)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{InputSize: 8, Classes: 2, BaseChannels: 4}); err == nil {
 		t.Error("tiny input accepted")

@@ -216,8 +216,11 @@ func (p *maxPool2) Forward(x *Tensor) *Tensor {
 			top := (c*x.H + 2*oy) * x.W
 			for ox := 0; ox < ow; ox++ {
 				i := top + 2*ox
+				// A window with no value above -Inf (all -Inf or
+				// NaN) keeps its first element, so its gradient
+				// stays inside the window.
 				best := math.Inf(-1)
-				bestIdx := 0
+				bestIdx := i
 				for _, j := range [4]int{i, i + 1, i + x.W, i + x.W + 1} {
 					if v := x.Data[j]; v > best {
 						best, bestIdx = v, j

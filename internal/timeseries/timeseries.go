@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -55,6 +56,12 @@ func (s *Series) MustAppend(t time.Time, v float64) {
 		panic(err)
 	}
 }
+
+// Grow reserves room for at least n more observations, so a caller
+// that knows its sample count up front pays for one allocation instead
+// of append's repeated copies. The observations stay one contiguous
+// slice. Like bytes.Buffer.Grow, it panics on a negative n.
+func (s *Series) Grow(n int) { s.points = slices.Grow(s.points, n) }
 
 // Len returns the number of observations.
 func (s *Series) Len() int { return len(s.points) }

@@ -47,6 +47,21 @@ func TestMustAppendPanics(t *testing.T) {
 	s.MustAppend(t0.Add(-time.Hour), 2)
 }
 
+func TestGrowReservesContiguousRoom(t *testing.T) {
+	s := mk(t, 1, 2)
+	s.Grow(100)
+	first := &s.Points()[0]
+	for i := 2; i < 102; i++ {
+		s.MustAppend(t0.Add(time.Duration(i)*time.Minute), float64(i))
+	}
+	if s.Len() != 102 || &s.Points()[0] != first {
+		t.Fatal("appends within the grown room reallocated the points")
+	}
+	if p := s.Points(); p[0].V != 1 || p[1].V != 2 || p[101].V != 101 {
+		t.Fatalf("points after Grow = %v", p)
+	}
+}
+
 func TestSpanValuesLen(t *testing.T) {
 	s := mk(t, 1, 2, 3)
 	start, end := s.Span()

@@ -71,21 +71,43 @@ type Generator struct {
 	started   bool
 	tempNoise float64
 	cloudRaw  float64 // unsquashed OU state for cloud cover
+	cloudMu   float64 // OU mean of cloudRaw: the logit of CloudMean
+	step      ouStep  // discretization constants of the last dt
+	memo      Sample  // the last sample At returned
+}
+
+// ouStep holds the exact-discretization constants of one step length:
+// the decay a = exp(-dt/tau) and the noise scale sigma*sqrt(1-a*a) of
+// each OU process. A run steps by one dt almost always, so advance
+// computes them once per change of dt instead of once per step.
+type ouStep struct {
+	dt             time.Duration
+	tempA, tempK   float64
+	cloudA, cloudK float64
 }
 
 // NewGenerator creates a generator for the configuration.
 func NewGenerator(cfg Config) *Generator {
+	mu := logit(clamp(cfg.CloudMean, 0.02, 0.98))
 	return &Generator{
 		cfg:      cfg,
 		r:        rng.New(cfg.Seed),
-		cloudRaw: logit(clamp(cfg.CloudMean, 0.02, 0.98)),
+		cloudRaw: mu,
+		cloudMu:  mu,
 	}
 }
 
 // At returns the weather at time t, advancing the generator's stochastic
 // state by the elapsed interval. Calling At with t before the previous
-// call's time reuses the current noise state without advancing it.
+// call's time reuses the current noise state without advancing it, and
+// calling it again at the previous call's instant returns that call's
+// sample.
 func (g *Generator) At(t time.Time) Sample {
+	if g.started && t.Equal(g.memo.Time) {
+		s := g.memo
+		s.Time = t
+		return s
+	}
 	if g.started {
 		if dt := t.Sub(g.last); dt > 0 {
 			g.advance(dt)
@@ -103,13 +125,14 @@ func (g *Generator) At(t time.Time) Sample {
 	temp := g.deterministicTemp(t) + g.tempNoise
 	cloud := sigmoid(g.cloudRaw)
 	irr := solar.Irradiance(g.cfg.Location, t, cloud)
-	return Sample{
+	g.memo = Sample{
 		Time:        t,
 		Temperature: units.Celsius(temp),
 		Humidity:    humidityFor(temp, cloud),
 		CloudCover:  cloud,
 		Irradiance:  irr,
 	}
+	return g.memo
 }
 
 // deterministicTemp is the seasonal + diurnal harmonic component.
@@ -127,17 +150,21 @@ func (g *Generator) deterministicTemp(t time.Time) float64 {
 // advance steps the OU noise processes by dt using exact discretization:
 // x' = x*exp(-dt/tau) + sigma*sqrt(1-exp(-2dt/tau))*N(0,1).
 func (g *Generator) advance(dt time.Duration) {
-	step := func(x *float64, tau time.Duration, sigma float64) {
-		a := math.Exp(-dt.Seconds() / tau.Seconds())
-		*x = *x*a + sigma*math.Sqrt(1-a*a)*g.r.Norm()
+	if dt != g.step.dt {
+		decay := func(tau time.Duration, sigma float64) (a, k float64) {
+			a = math.Exp(-dt.Seconds() / tau.Seconds())
+			return a, sigma * math.Sqrt(1-a*a)
+		}
+		g.step.dt = dt
+		g.step.tempA, g.step.tempK = decay(12*time.Hour, g.cfg.TempNoiseSigma)
+		g.step.cloudA, g.step.cloudK = decay(6*time.Hour, 1.2)
 	}
-	step(&g.tempNoise, 12*time.Hour, g.cfg.TempNoiseSigma)
+	g.tempNoise = g.tempNoise*g.step.tempA + g.step.tempK*g.r.Norm()
 
 	// Cloud: OU around the logit of the configured mean.
-	mu := logit(clamp(g.cfg.CloudMean, 0.02, 0.98))
-	dev := g.cloudRaw - mu
-	step(&dev, 6*time.Hour, 1.2)
-	g.cloudRaw = mu + dev
+	dev := g.cloudRaw - g.cloudMu
+	dev = dev*g.step.cloudA + g.step.cloudK*g.r.Norm()
+	g.cloudRaw = g.cloudMu + dev
 }
 
 // humidityFor couples RH to temperature and cloudiness: cooler and

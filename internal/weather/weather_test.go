@@ -160,6 +160,24 @@ func TestBackwardTimeDoesNotAdvanceState(t *testing.T) {
 	}
 }
 
+// TestRepeatedInstantIsMemoized calls At twice at each instant, as a
+// deployment does when a wake-up and an environment tick share one:
+// the second call returns the first call's sample and leaves the
+// stream exactly where a single call would.
+func TestRepeatedInstantIsMemoized(t *testing.T) {
+	once := NewGenerator(DefaultConfig(solar.Cachan))
+	twice := NewGenerator(DefaultConfig(solar.Cachan))
+	for tt := start; tt.Before(start.Add(48 * time.Hour)); tt = tt.Add(10 * time.Minute) {
+		want := once.At(tt)
+		if got := twice.At(tt); got != want {
+			t.Fatalf("%v: first call %+v, single-call stream %+v", tt, got, want)
+		}
+		if got := twice.At(tt); got != want {
+			t.Fatalf("%v: repeated call %+v, first call %+v", tt, got, want)
+		}
+	}
+}
+
 func mean(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
