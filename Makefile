@@ -62,7 +62,7 @@ race:
 # End-to-end smoke of the -workers plumbing: a multi-worker scenario
 # run must complete and pass its own conservation audit.
 smoke:
-	$(GO) run ./cmd/apiarysim scenario -workers 4 -ledger $$(mktemp -t beesim-smoke-XXXXXX.jsonl)
+	$(GO) run ./cmd/beesim scenario -workers 4 -ledger $$(mktemp -t beesim-smoke-XXXXXX.jsonl)
 
 # Chaos gate: the fault-injection soak (loss rates 0-100%, no panics,
 # no stuck DES, monotone delivered-count) plus a fuzz smoke over the

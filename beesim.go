@@ -18,8 +18,9 @@
 //
 // The subpackages under internal/ implement the pieces; this package
 // re-exports the stable API surface. Each figure and table of the paper
-// is regenerated by the corresponding function here (and benchmarked in
-// bench_test.go); see DESIGN.md and EXPERIMENTS.md.
+// is regenerated by `beesim reproduce <ID>` from the artifact list in
+// internal/experiments (and benchmarked in bench_test.go); see DESIGN.md
+// and EXPERIMENTS.md.
 package beesim
 
 import (
@@ -28,7 +29,6 @@ import (
 	"beesim/internal/audio"
 	"beesim/internal/core"
 	"beesim/internal/deployment"
-	"beesim/internal/experiments"
 	"beesim/internal/power"
 	"beesim/internal/queendetect"
 	"beesim/internal/routine"
@@ -176,29 +176,3 @@ func DefaultCNNOptions() CNNOptions { return queendetect.DefaultCNNOptions() }
 func TrainCNNDetector(corpus []LabeledClip, sampleRate int, opts CNNOptions) (*CNNDetector, error) {
 	return queendetect.TrainCNN(corpus, sampleRate, opts)
 }
-
-// Experiment regeneration: one entry point per paper artifact. The
-// returned structures carry everything the corresponding table or figure
-// plots; the cmd/ binaries render them.
-var (
-	// TableI builds the edge-scenario task breakdowns.
-	TableI = experiments.TableI
-	// TableII builds the edge+cloud task breakdowns.
-	TableII = experiments.TableII
-	// Figure2 runs the week-long deployment trace.
-	Figure2 = experiments.Figure2
-	// Figure3 computes average power across wake-up periods.
-	Figure3 = experiments.Figure3
-	// Figure5 sweeps CNN input sizes for accuracy and edge energy.
-	Figure5 = experiments.Figure5
-	// Figure6 sweeps 10-400 clients at slot capacity 10, no losses.
-	Figure6 = experiments.Figure6
-	// Figure7 sweeps 100-2000 clients at a given slot capacity.
-	Figure7 = experiments.Figure7
-	// Figure8 sweeps under one loss variant.
-	Figure8 = experiments.Figure8
-	// Figure9 sweeps with all losses at capacity 35.
-	Figure9 = experiments.Figure9
-	// RoutineStats replays the Section-IV measurement campaign.
-	RoutineStats = experiments.RoutineStats
-)

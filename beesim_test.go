@@ -2,8 +2,11 @@ package beesim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"beesim/internal/experiments"
 )
 
 // The root package is a façade; these tests pin the public API surface
@@ -91,22 +94,28 @@ func TestQueenDetectionFacade(t *testing.T) {
 	}
 }
 
+// TestExperimentEntryPoints pins the reproduction list: every artifact
+// the paper reports, once, in order, and the quick ones render.
 func TestExperimentEntryPoints(t *testing.T) {
-	if _, err := TableI(); err != nil {
-		t.Fatal(err)
+	var ids []string
+	for _, a := range experiments.Artifacts() {
+		ids = append(ids, a.ID)
+		if a.Title == "" || a.Run == nil {
+			t.Errorf("%s: incomplete entry", a.ID)
+		}
+		switch a.ID {
+		case "T1", "T2", "F3", "S4":
+			out, err := a.Run(1)
+			if err != nil {
+				t.Fatalf("%s: %v", a.ID, err)
+			}
+			if len(out.Text) == 0 {
+				t.Errorf("%s: empty text", a.ID)
+			}
+		}
 	}
-	if _, err := TableII(); err != nil {
-		t.Fatal(err)
-	}
-	pts := Figure3()
-	if len(pts) != 6 {
-		t.Fatalf("figure 3 points = %d", len(pts))
-	}
-	st, err := RoutineStats(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Routines != 50 {
-		t.Fatal("routine stats lost count")
+	want := "T1 T2 F2 F3 S4 F5 F6 F7 F8A F8B F8C F8 F9 AV"
+	if got := strings.Join(ids, " "); got != want {
+		t.Fatalf("artifact IDs = %s, want %s", got, want)
 	}
 }

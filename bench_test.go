@@ -90,7 +90,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkRoutineStats(b *testing.B) {
 	var mean, sd float64
 	for i := 0; i < b.N; i++ {
-		st, err := experiments.RoutineStats(319)
+		st, err := experiments.RoutineStatsWorkers(319, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	var floor float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Figure6()
+		pts, err := sweepOf(experiments.Figure6Config())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var m experiments.Figure7Milestones
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Figure7(35)
+		pts, err := sweepOf(experiments.Figure7Config(35))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func BenchmarkFigure8(b *testing.B) {
 		for _, v := range []experiments.LossVariant{
 			experiments.LossA, experiments.LossB, experiments.LossC, experiments.LossAll,
 		} {
-			pts, err := experiments.Figure8(v)
+			pts, err := sweepOf(experiments.Figure8Config(v))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	var wins float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Figure9()
+		pts, err := sweepOf(experiments.Figure9Config())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,6 +192,14 @@ func BenchmarkFigure9(b *testing.B) {
 		}
 	}
 	b.ReportMetric(wins, "green_points")
+}
+
+// sweepOf runs the sweep of an experiments.FigureNConfig result.
+func sweepOf(cfg experiments.SweepConfig, err error) ([]experiments.SweepPoint, error) {
+	if err != nil {
+		return nil, err
+	}
+	return experiments.Sweep(cfg)
 }
 
 // ---------------------------------------------------------------------

@@ -1,413 +1,268 @@
-// Command beesim is the umbrella CLI: it regenerates the paper's tables
-// and small figures directly in the terminal.
+// Command beesim is the reproduction CLI: it regenerates every table and
+// figure of the paper from the artifact list in internal/experiments,
+// and runs the simulations behind them with their parameters as flags.
 //
-// Usage:
+//	beesim reproduce [ID...] [-workers N] [-csv DIR] [-svg DIR]
+//	beesim <trace|campaign|sweep|avail|scenario|recommend|optimize|...> [flags]
 //
-//	beesim tables              # Tables I and II
-//	beesim fig3                # Figure 3: average power vs wake-up period
-//	beesim campaign [-n 319]   # Section IV routine statistics
-//	beesim campaign -faults plan.json   # ... replayed through a fault plan
-//	beesim recommend -clients N [-cap 35] [-losses abc]
+// reproduce runs the named artifacts (all of them, in list order, when
+// none is named) at the paper's inputs, writing each one's series to
+// DIR/<ID>.csv and each sweep figure to DIR/<ID>.svg. `beesim help`
+// lists the subcommands and the artifact IDs; `beesim <cmd> -h` lists a
+// subcommand's flags. Every simulation subcommand takes -workers N (0 =
+// all CPUs, 1 = serial) and prints the same bytes for every N.
 //
-// With -faults the campaign replays its wake-ups through the
-// deterministic fault plan: failed uploads retry with backoff, fall
-// back to local inference, and queue for a buffer-and-drain flush on
-// recovery (see docs/FAULTS.md).
+// A usage error (unknown command, artifact or flag, bad flag
+// combination) exits 2; a runtime failure exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"strings"
-	"time"
+	"path/filepath"
+	"slices"
 
-	"beesim/internal/adaptive"
-	"beesim/internal/core"
 	"beesim/internal/experiments"
-	"beesim/internal/faults"
-	"beesim/internal/netsim"
-	"beesim/internal/optimizer"
+	"beesim/internal/ledger"
+	"beesim/internal/obs"
 	"beesim/internal/parallel"
-	"beesim/internal/power"
-	"beesim/internal/report"
-	"beesim/internal/routine"
-	"beesim/internal/services"
-	"beesim/internal/solar"
+	"beesim/internal/prof"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	err := run(os.Args[1:], os.Stdout)
+	if code := exitCode(err); code != 0 {
+		fmt.Fprintln(os.Stderr, "beesim:", err)
+		os.Exit(code)
 	}
-	var err error
-	switch os.Args[1] {
-	case "tables":
-		err = tables()
-	case "fig3":
-		err = fig3()
-	case "campaign":
-		err = campaign(os.Args[2:])
-	case "recommend":
-		err = recommend(os.Args[2:])
-	case "seasons":
-		err = seasons(os.Args[2:])
-	case "apiary":
-		err = apiary(os.Args[2:])
-	case "policies":
-		err = policies(os.Args[2:])
-	case "optimize":
-		err = optimize(os.Args[2:])
+}
+
+// exitCode is the process status for run's error: 0 on success or -h,
+// 2 for a usage error, 1 for a runtime failure.
+func exitCode(err error) int {
+	var ue usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		return 2
+	}
+	return 1
+}
+
+// usageError marks bad invocations (exit 2, like flag parse errors) as
+// opposed to runtime failures (exit 1).
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// command is one subcommand; run receives an empty flag set named after
+// it, whose parse errors come back as usage errors.
+type command struct {
+	name, summary string
+	run           func(fs *flag.FlagSet, args []string, w io.Writer) error
+}
+
+var commands = []command{
+	{"reproduce", "regenerate the paper's tables and figures by artifact ID", reproduce},
+	{"trace", "deployed-hive simulation (Figure 2) with its exports", trace},
+	{"campaign", "replay the Section IV measurement campaign", campaign},
+	{"sweep", "client-range sweep of both scenarios (Figures 6-9)", sweep},
+	{"avail", "availability sweep: the crossover as the uplink degrades", avail},
+	{"scenario", "record the Table I/II duty cycle into an energy ledger", scenario},
+	{"recommend", "pick a placement for a fleet size", recommend},
+	{"optimize", "search wake period x capacity x placement for a fleet", optimize},
+	{"seasons", "year-round energy balance of one deployed hive", seasons},
+	{"apiary", "the paper's five-hive deployment (2 Cachan + 3 Lyon)", apiary},
+	{"policies", "fixed vs adaptive orchestration policies", policies},
+	{"train", "train and evaluate the queen detectors (Section V)", train},
+	{"synth", "write one synthetic hive-sound clip as WAV", synth},
+}
+
+// run executes one beesim invocation, printing its results to w.
+func run(args []string, w io.Writer) error {
+	if len(args) == 0 {
+		usage()
+		return usageError("missing command")
+	}
+	switch args[0] {
 	case "-h", "--help", "help":
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "beesim: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
+		return nil
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "beesim:", err)
-		os.Exit(1)
+	for _, c := range commands {
+		if c.name == args[0] {
+			return c.run(flag.NewFlagSet(c.name, flag.ContinueOnError), args[1:], w)
+		}
 	}
+	usage()
+	return usageError(fmt.Sprintf("unknown command %q", args[0]))
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: beesim <command> [flags]
-
-commands:
-  tables      print Tables I and II (per-task energy of both scenarios)
-  fig3        print Figure 3 (average power vs wake-up period)
-  campaign    replay the Section-IV measurement campaign
-  recommend   pick a placement for a fleet size
-  seasons     year-round energy balance of one deployed hive
-  apiary      the paper's five-hive deployment (2 Cachan + 3 Lyon)
-  policies    fixed vs adaptive orchestration policies
-  optimize    search wake period x capacity x placement for a fleet
-
-see also: hivetrace (Figure 2), apiarysim (Figures 6-9), queendetect (Figure 5),
-          hivenet (networked cloud service + edge agents)`)
+	fmt.Fprintf(os.Stderr, "usage: beesim <command> [flags]\n\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintf(os.Stderr, "\nartifacts (beesim reproduce [ID...]):\n")
+	for _, a := range experiments.Artifacts() {
+		fmt.Fprintf(os.Stderr, "  %-4s %s\n", a.ID, a.Title)
+	}
+	fmt.Fprintf(os.Stderr, "\nsee also: hivenet (networked cloud service + edge agents), hivereport (ledger analysis)\n")
 }
 
-func tables() error {
-	one, err := experiments.TableI()
-	if err != nil {
-		return err
-	}
-	two, err := experiments.TableII()
-	if err != nil {
-		return err
-	}
-	fmt.Println("TABLE I: edge scenarios")
-	fmt.Println()
-	for _, s := range one {
-		if err := experiments.RenderScenario(s).Render(os.Stdout); err != nil {
-			return err
+// reproduce runs the named artifacts, or all of them in list order.
+func reproduce(fs *flag.FlagSet, args []string, w io.Writer) error {
+	csvDir := fs.String("csv", "", "write each artifact's series to DIR/<ID>.csv")
+	svgDir := fs.String("svg", "", "write each sweep figure to DIR/<ID>.svg")
+	var ids []string
+	return exec(fs, args, &ids, true, func(workers int) error {
+		arts := experiments.Artifacts()
+		if len(ids) > 0 {
+			all := arts
+			arts = nil
+			for _, id := range ids {
+				i := slices.IndexFunc(all, func(a experiments.Artifact) bool { return a.ID == id })
+				if i < 0 {
+					return usageError(fmt.Sprintf("unknown artifact %q", id))
+				}
+				arts = append(arts, all[i])
+			}
 		}
-		fmt.Println()
-	}
-	fmt.Println("TABLE II: edge+cloud scenarios")
-	fmt.Println()
-	for _, s := range two {
-		if err := experiments.RenderScenario(s).Render(os.Stdout); err != nil {
-			return err
+		for i, a := range arts {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			fmt.Fprintf(w, "[%s] %s\n\n", a.ID, a.Title)
+			out, err := a.Run(workers)
+			if err != nil {
+				return fmt.Errorf("%s: %w", a.ID, err)
+			}
+			if _, err := w.Write(out.Text); err != nil {
+				return err
+			}
+			if *csvDir != "" && out.CSV != nil {
+				path := filepath.Join(*csvDir, a.ID+".csv")
+				if err := export(w, path, out.CSV, "series written to %s", path); err != nil {
+					return err
+				}
+			}
+			if *svgDir != "" && out.SVG != nil {
+				path := filepath.Join(*svgDir, a.ID+".svg")
+				if err := export(w, path, out.SVG, "figure written to %s", path); err != nil {
+					return err
+				}
+			}
 		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func fig3() error {
-	pts := experiments.Figure3()
-	t := report.NewTable("Figure 3: average consumed power vs wake-up period",
-		"Period (min)", "Average power (W)")
-	for _, p := range pts {
-		t.MustAddRow(fmt.Sprintf("%.0f", p.Period.Minutes()),
-			fmt.Sprintf("%.3f", float64(p.AvgPower)))
-	}
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	chart := report.NewChart("", "wake-up period (min)", "average power (W)")
-	chart.Add(experiments.Figure3Series())
-	return chart.Render(os.Stdout)
-}
-
-// workersFlag registers the shared -workers flag on fs. After parsing,
-// pass the value to parallel.SetDefault; every parallel stage then
-// resolves it. Outputs are byte-identical for any worker count.
-func workersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, "worker goroutines for parallel evaluation (0 = all CPUs, 1 = serial)")
-}
-
-func campaign(args []string) error {
-	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	n := fs.Int("n", 319, "number of routines to replay")
-	faultsPath := fs.String("faults", "", "replay the campaign's uploads through this fault plan JSON")
-	period := fs.Duration("period", 10*time.Minute, "wake-up period of the faulted campaign")
-	bufferCap := fs.Int("buffer", 0, "upload buffer depth of the faulted campaign (0 = default)")
-	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	parallel.SetDefault(*workers)
-	if *faultsPath != "" {
-		return faultyCampaign(*faultsPath, *n, *period, *bufferCap)
-	}
-	st, err := experiments.RoutineStats(*n)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Section IV measurement campaign (%d routines)\n\n", st.Routines)
-	fmt.Printf("  mean routine duration: %6.1f s   (paper: 89 s)\n", st.MeanDuration.Seconds())
-	fmt.Printf("  duration sigma:        %6.1f s   (paper: 3.5 s)\n", st.SDDuration.Seconds())
-	fmt.Printf("  mean routine power:    %6.3f W   (paper: 2.14 W)\n", float64(st.MeanPower))
-	fmt.Printf("  power sigma:           %6.3f W   (paper: 0.009 W)\n", float64(st.SDPower))
-	fmt.Printf("  mean routine energy:   %6.1f J   (paper: 190.1 J)\n", float64(st.MeanEnergy))
-	return nil
-}
-
-// faultyCampaign replays the measurement campaign's uploads through a
-// fault plan and reports the payload accounting: delivered, flushed
-// from the buffer, still buffered, dropped, and the retry/fallback
-// energy the faults cost.
-func faultyCampaign(planPath string, n int, period time.Duration, bufferCap int) error {
-	plan, err := faults.LoadPlan(planPath)
-	if err != nil {
-		return err
-	}
-	// The campaign's virtual epoch; fixed so equal plans replay
-	// byte-identically (faults are keyed by virtual time, never wall
-	// clock).
-	start := time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
-	st, err := routine.SimulateFaultyCampaign(power.DefaultPi3B(), routine.FaultyCampaignConfig{
-		Link:      netsim.DefaultConfig(),
-		Plan:      plan,
-		Start:     start,
-		Period:    period,
-		Routines:  n,
-		BufferCap: bufferCap,
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	retry := plan.RetryOrDefault()
-	fmt.Printf("faulted campaign (%d routines, wake every %v, plan seed %d, %d attempts max)\n\n",
-		st.Routines, period, plan.Seed, retry.MaxAttempts)
-	fmt.Printf("  delivered fresh:    %6d\n", st.Delivered)
-	fmt.Printf("  flushed from queue: %6d\n", st.Flushed)
-	fmt.Printf("  still buffered:     %6d\n", st.Buffered)
-	fmt.Printf("  dropped (evicted):  %6d\n", st.Dropped)
-	fmt.Printf("  local fallbacks:    %6d\n", st.Fallbacks)
-	fmt.Printf("  send attempts:      %6d (%d failed)\n", st.Attempts, st.Failures)
-	fmt.Printf("  retry energy:       %v\n", st.RetryEnergy)
-	fmt.Printf("  fallback energy:    %v\n", st.FallbackEnergy)
-	if !st.Conserved() {
-		return fmt.Errorf("campaign payloads not conserved: %+v", st)
-	}
-	fmt.Printf("\n  payload conservation: %d + %d + %d + %d == %d routines\n",
-		st.Delivered, st.Flushed, st.Buffered, st.Dropped, st.Routines)
-	return nil
 }
 
-func recommend(args []string) error {
-	fs := flag.NewFlagSet("recommend", flag.ExitOnError)
-	clients := fs.Int("clients", 0, "fleet size (required)")
-	maxPar := fs.Int("cap", 35, "clients allowed in parallel per time slot")
-	model := fs.String("model", "cnn", "queen-detection model: svm or cnn")
-	losses := fs.String("losses", "", "loss models to enable, e.g. \"abc\" or \"ab\"")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *clients <= 0 {
-		return fmt.Errorf("-clients must be positive")
-	}
-	m := routine.CNN
-	if strings.EqualFold(*model, "svm") {
-		m = routine.SVM
-	}
-	svc, err := core.NewService(m, 5*time.Minute)
-	if err != nil {
-		return err
-	}
-	l := core.PaperLosses(
-		strings.ContainsRune(*losses, 'a'),
-		strings.ContainsRune(*losses, 'b'),
-		strings.ContainsRune(*losses, 'c'))
-	rec, err := core.Recommend(*clients, core.DefaultServer(*maxPar), svc, l)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fleet: %d smart beehives, slot capacity %d, service %s\n\n",
-		*clients, *maxPar, svc.Name)
-	fmt.Printf("  edge scenario:       %7.1f J/client/cycle\n", float64(rec.EdgeOnlyPerClient))
-	fmt.Printf("  edge+cloud scenario: %7.1f J/client/cycle  (%d server(s))\n",
-		float64(rec.EdgeCloudPerClient), rec.Servers)
-	fmt.Printf("\n  recommendation: %v (saves %.1f J/client/cycle)\n",
-		rec.Placement, float64(rec.Margin()))
-	return nil
-}
-
-func seasons(args []string) error {
-	fs := flag.NewFlagSet("seasons", flag.ExitOnError)
-	days := fs.Int("days", 3, "days simulated per month")
-	wake := fs.Duration("wake", 10*time.Minute, "wake-up period")
-	site := fs.String("site", "cachan", "deployment site: cachan or lyon")
-	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	parallel.SetDefault(*workers)
-	loc := solar.Cachan
-	if *site == "lyon" {
-		loc = solar.Lyon
-	}
-	pts, err := experiments.Seasonal(loc, *days, *wake)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		fmt.Sprintf("year-round energy balance (%s, %v wake-ups, %d day(s)/month)", loc.Name, *wake, *days),
-		"Month", "Routines/day", "Missed/day", "Harvest/day", "Consumption/day")
-	for _, p := range pts {
-		t.MustAddRow(
-			p.Month.String(),
-			fmt.Sprintf("%.0f", p.RoutinesPerDay),
-			fmt.Sprintf("%.0f", p.MissedPerDay),
-			p.HarvestPerDay.String(),
-			p.ConsumptionPerDay.String())
-	}
-	return t.Render(os.Stdout)
-}
-
-func apiary(args []string) error {
-	fs := flag.NewFlagSet("apiary", flag.ExitOnError)
-	days := fs.Int("days", 7, "days to simulate")
-	wake := fs.Duration("wake", 10*time.Minute, "wake-up period")
-	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	parallel.SetDefault(*workers)
-	results, err := experiments.Apiary(*days, *wake)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		fmt.Sprintf("the paper's five-hive deployment over %d day(s)", *days),
-		"Hive", "Site", "Routines", "Missed", "Outages", "Recorder energy", "Harvest")
-	for _, r := range results {
-		t.MustAddRow(
-			r.Hive.Name,
-			r.Hive.Location.Name,
-			fmt.Sprintf("%d", r.Trace.Wakeups),
-			fmt.Sprintf("%d", r.Trace.MissedWakeups),
-			fmt.Sprintf("%d", r.Trace.Outages),
-			r.Trace.RecorderEnergy.String(),
-			r.Trace.HarvestedEnergy.String())
-	}
-	return t.Render(os.Stdout)
-}
-
-func policies(args []string) error {
-	fs := flag.NewFlagSet("policies", flag.ExitOnError)
-	days := fs.Int("days", 7, "days to simulate")
-	month := fs.Int("month", 4, "starting month (1-12)")
-	soc := fs.Float64("soc", 0.5, "initial battery state of charge")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *month < 1 || *month > 12 {
-		return fmt.Errorf("month %d out of 1-12", *month)
-	}
-	cfg := adaptive.DefaultConfig()
-	cfg.Days = *days
-	cfg.InitialSoC = *soc
-	cfg.Start = time.Date(2023, time.Month(*month), 10, 0, 0, 0, 0, time.UTC)
-	results, err := experiments.PolicyComparison(cfg)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		fmt.Sprintf("orchestration policies over %d day(s) from %s", *days, cfg.Start.Format("Jan 2006")),
-		"Policy", "Routines", "Missed", "Cloud cycles", "Energy", "Min SoC")
-	for _, r := range results {
-		t.MustAddRow(
-			r.Policy,
-			fmt.Sprintf("%d", r.Routines),
-			fmt.Sprintf("%d", r.MissedRoutines),
-			fmt.Sprintf("%d", r.CloudCycles),
-			r.EdgeEnergy.String(),
-			fmt.Sprintf("%.0f%%", 100*r.MinSoC))
-	}
-	return t.Render(os.Stdout)
-}
-
-func optimize(args []string) error {
-	fs := flag.NewFlagSet("optimize", flag.ExitOnError)
-	hives := fs.Int("hives", 0, "fleet size (required)")
-	staleness := fs.Duration("staleness", time.Hour, "maximum data age the beekeeper accepts")
-	bundle := fs.String("services", "queen", "comma-separated services: queen,pollen,count,swarm")
-	losses := fs.String("losses", "", "loss models to enable, e.g. \"ab\"")
-	workers := workersFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	parallel.SetDefault(*workers)
-	if *hives <= 0 {
-		return fmt.Errorf("-hives must be positive")
-	}
-	var kinds []services.Kind
-	for _, tok := range strings.Split(*bundle, ",") {
-		switch strings.TrimSpace(tok) {
-		case "queen":
-			kinds = append(kinds, services.QueenDetection)
-		case "pollen":
-			kinds = append(kinds, services.PollenDetection)
-		case "count":
-			kinds = append(kinds, services.BeeCounting)
-		case "swarm":
-			kinds = append(kinds, services.SwarmPrediction)
-		case "":
-		default:
-			return fmt.Errorf("unknown service %q", tok)
+// parse parses args into fs. Positional arguments may sit between the
+// flags; they are appended to *pos, and are a usage error where pos is
+// nil.
+func parse(fs *flag.FlagSet, args []string, pos *[]string) error {
+	for {
+		if err := fs.Parse(args); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return err
+			}
+			return usageError(err.Error())
 		}
+		if fs.NArg() == 0 {
+			return nil
+		}
+		if pos == nil {
+			return usageError(fmt.Sprintf("%s: unexpected argument %q", fs.Name(), fs.Arg(0)))
+		}
+		*pos = append(*pos, fs.Arg(0))
+		args = fs.Args()[1:]
 	}
-	req := optimizer.Requirements{
-		Hives:        *hives,
-		Services:     kinds,
-		MaxStaleness: *staleness,
-		Losses: core.PaperLosses(
-			strings.ContainsRune(*losses, 'a'),
-			strings.ContainsRune(*losses, 'b'),
-			strings.ContainsRune(*losses, 'c')),
+}
+
+// exec registers the flags the simulation subcommands share — -workers,
+// and -cpuprofile/-memprofile where profile is set — parses args (see
+// parse for pos), makes the worker count the process-wide parallel
+// default and runs body under the profiler, folding the profile files'
+// close errors into the result.
+func exec(fs *flag.FlagSet, args []string, pos *[]string, profile bool, body func(workers int) error) (err error) {
+	var p *prof.Profiler
+	if profile {
+		p = prof.Register(fs)
 	}
-	res, err := optimizer.Optimize(req, optimizer.DefaultOptions())
+	workers := fs.Int("workers", 0, "worker goroutines for parallel evaluation (0 = all CPUs, 1 = serial)")
+	if err := parse(fs, args, pos); err != nil {
+		return err
+	}
+	parallel.SetDefault(*workers)
+	if err := p.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		err = errors.Join(err, p.Stop())
+	}()
+	return body(*workers)
+}
+
+// writeFile creates path, runs write, and closes the file, returning
+// the close error too: that is where a full disk or a failed flush
+// would otherwise vanish.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("searched %d configurations (%d infeasible) for %d hives\n\n",
-		res.Evaluated, res.Infeasible, *hives)
-	fmt.Printf("optimum: wake every %v, slot capacity %d, %d server(s)\n",
-		res.Best.Period, res.Best.MaxParallel, res.Best.Servers)
-	fmt.Printf("  %.1f J/hive/cycle, %s fleet-wide per day\n", float64(res.Best.PerHive), res.Best.PerDay)
-	decided := make([]services.Kind, 0, len(res.Best.Plan.Decisions))
-	for k := range res.Best.Plan.Decisions {
-		decided = append(decided, k)
+	return errors.Join(write(f), f.Close())
+}
+
+// export writes path through write, when path is set, and reports the
+// file on w as an indented line after a blank one.
+func export(w io.Writer, path string, write func(io.Writer) error, format string, args ...any) error {
+	if path == "" {
+		return nil
 	}
-	sort.Slice(decided, func(i, j int) bool { return decided[i] < decided[j] })
-	for _, k := range decided {
-		fmt.Printf("  %-18v -> %v\n", k, res.Best.Plan.Decisions[k])
+	if err := writeFile(path, write); err != nil {
+		return err
 	}
-	fmt.Println("\nenergy/freshness frontier:")
-	t := report.NewTable("", "Wake period", "J/hive/cycle", "Fleet J/day", "Servers")
-	for _, c := range res.Frontier {
-		t.MustAddRow(c.Period.String(),
-			fmt.Sprintf("%.1f", float64(c.PerHive)),
-			c.PerDay.String(),
-			fmt.Sprintf("%d", c.Servers))
+	fmt.Fprintf(w, "\n  "+format+"\n", args...)
+	return nil
+}
+
+// telemetry is the -metrics, -trace and -ledger output flags that trace,
+// sweep and avail share. It only writes: auditing the ledger and
+// checking SLOs stay with the subcommands.
+type telemetry struct {
+	metrics               *bool
+	tracePath, ledgerPath *string
+}
+
+func telemetryFlags(fs *flag.FlagSet) telemetry {
+	return telemetry{
+		metrics:    fs.Bool("metrics", false, "print the metrics snapshot"),
+		tracePath:  fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file"),
+		ledgerPath: fs.String("ledger", "", "write the energy ledger to this JSONL file"),
 	}
-	return t.Render(os.Stdout)
+}
+
+// writeFiles writes the trace and ledger files the flags name.
+func (t telemetry) writeFiles(w io.Writer, tr *obs.Tracer, lg *ledger.Ledger) error {
+	err := export(w, *t.tracePath, tr.WriteJSON,
+		"%d trace events written to %s (open at ui.perfetto.dev)", tr.Len(), *t.tracePath)
+	if err != nil {
+		return err
+	}
+	return export(w, *t.ledgerPath, lg.WriteJSONL,
+		"%d ledger entries written to %s (inspect with hivereport)", lg.Len(), *t.ledgerPath)
+}
+
+// printMetrics prints the metrics snapshot when -metrics is set.
+func (t telemetry) printMetrics(w io.Writer, reg *obs.Registry) error {
+	if !*t.metrics {
+		return nil
+	}
+	fmt.Fprintf(w, "\nmetrics:\n")
+	return reg.Snapshot().WriteText(w)
 }

@@ -20,6 +20,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -131,11 +132,7 @@ func plan(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := report.WriteKneeCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return errors.Join(report.WriteKneeCSV(f), f.Close())
 	}
 	return nil
 }

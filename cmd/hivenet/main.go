@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -187,11 +188,7 @@ func agent(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := tr.WriteJSON(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := errors.Join(tr.WriteJSON(f), f.Close()); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s (last trace id %s)\n", *tracePath, a.LastTraceID())

@@ -1,5 +1,5 @@
 // Command hivereport reads energy ledger JSONL files (written by
-// hivetrace -ledger, apiarysim scenario/sweep -ledger, or fetched from
+// beesim trace/scenario/sweep/avail -ledger, or fetched from
 // the cloud dashboard's /api/ledger) and reports where the joules went:
 //
 //	hivereport run.jsonl                 per-hive breakdown + conservation audit

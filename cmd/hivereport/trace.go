@@ -1,7 +1,7 @@
 package main
 
 // The trace subcommand is the critical-path analyzer: it reads one or
-// more Chrome trace JSON files (written by hivetrace/apiarysim -trace,
+// more Chrome trace JSON files (written by beesim trace/sweep -trace,
 // or fetched from the dashboard's /api/trace/{id}), stitches them into
 // one timeline, and attributes each traced upload's end-to-end latency
 // to named segments — compute, per-attempt airtime, retry, backoff,

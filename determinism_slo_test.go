@@ -19,7 +19,7 @@ import (
 
 // sloSpec is the checked-in example spec, loaded from disk so this
 // test also pins the file's validity (the acceptance command is
-// `apiarysim avail -slo examples/slo_upload.json`).
+// `beesim avail -slo examples/slo_upload.json`).
 func sloSpec(t *testing.T) slo.Spec {
 	t.Helper()
 	spec, err := slo.LoadSpec("examples/slo_upload.json")

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each Table*/Figure* function produces both the structured
-// numbers (for tests and benchmarks) and render-ready report artifacts
-// (for the CLIs). See DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured values.
+// evaluation. The Table*/Figure* functions produce the structured
+// numbers (for tests and benchmarks); Artifacts lists the paper's
+// artifacts in order, each rendered to the text, CSV and SVG that
+// `beesim reproduce` prints and writes. See DESIGN.md §4 for the
+// experiment index and EXPERIMENTS.md for paper-vs-measured values.
 package experiments
 
 import (
@@ -59,9 +60,9 @@ func buildScenarios(p routine.Placement) ([]ScenarioTable, error) {
 	return out, nil
 }
 
-// RenderScenario formats one scenario as a text table in the paper's
+// renderScenario formats one scenario as a text table in the paper's
 // layout.
-func RenderScenario(s ScenarioTable) *report.Table {
+func renderScenario(s ScenarioTable) *report.Table {
 	title := fmt.Sprintf("Scenario: %s (%s), %s cycle",
 		s.Spec.Placement, s.Spec.Model, s.Spec.Period)
 	var t *report.Table
@@ -99,12 +100,6 @@ func RenderScenario(s ScenarioTable) *report.Table {
 // Section IV: routine statistics and Figure 3
 // ---------------------------------------------------------------------
 
-// RoutineStats replays the Section-IV measurement campaign (319 routines
-// by default in the paper) with the process-default worker count.
-func RoutineStats(n int) (routine.CampaignStats, error) {
-	return RoutineStatsWorkers(n, 0)
-}
-
 // RoutineStatsWorkers replays the campaign fanning fixed-size routine
 // batches across the given worker count (0 = process default, 1 =
 // serial). The statistics are byte-identical for every worker count.
@@ -129,19 +124,6 @@ func Figure3() []Figure3Point {
 		out[i] = Figure3Point{Period: p, AvgPower: pi.AveragePower(p)}
 	}
 	return out
-}
-
-// Figure3Series converts the points to a report series (x in minutes).
-func Figure3Series() report.Series {
-	pts := Figure3()
-	x := make([]float64, len(pts))
-	y := make([]float64, len(pts))
-	for i, p := range pts {
-		x[i] = p.Period.Minutes()
-		y[i] = float64(p.AvgPower)
-	}
-	s, _ := report.NewSeries("average power (W)", x, y)
-	return s
 }
 
 // ---------------------------------------------------------------------
@@ -341,16 +323,6 @@ func Figure6Config() (SweepConfig, error) {
 	}, nil
 }
 
-// Figure6 sweeps 10-400 clients at slot capacity 10 with no losses,
-// reproducing the server-count and per-client energy curves.
-func Figure6() ([]SweepPoint, error) {
-	cfg, err := Figure6Config()
-	if err != nil {
-		return nil, err
-	}
-	return Sweep(cfg)
-}
-
 // Figure7Config returns the sweep configuration of Figure 7: 100-2000
 // clients at the given slot capacity with no losses.
 func Figure7Config(maxParallel int) (SweepConfig, error) {
@@ -364,16 +336,6 @@ func Figure7Config(maxParallel int) (SweepConfig, error) {
 		From:    100, To: 2000, Step: 1,
 		Policy: core.FillSequential,
 	}, nil
-}
-
-// Figure7 sweeps 100-2000 clients at the given slot capacity (the paper
-// contrasts 10 and 35) with no losses.
-func Figure7(maxParallel int) ([]SweepPoint, error) {
-	cfg, err := Figure7Config(maxParallel)
-	if err != nil {
-		return nil, err
-	}
-	return Sweep(cfg)
 }
 
 // Figure7Milestones extracts the paper's headline numbers from a cap-35
@@ -469,30 +431,12 @@ func Figure8Config(v LossVariant) (SweepConfig, error) {
 	}, nil
 }
 
-// Figure8 sweeps 10-400 clients at capacity 10 under one loss variant.
-func Figure8(v LossVariant) ([]SweepPoint, error) {
-	cfg, err := Figure8Config(v)
-	if err != nil {
-		return nil, err
-	}
-	return Sweep(cfg)
-}
-
-// Figure9 sweeps 100-2000 clients at capacity 35 with all losses,
-// comparing both scenarios as the paper's final figure does. It uses the
-// loss semantics Figure 9's own numbers imply (core.Figure9Losses);
-// Figure 8 uses the harsher variant its numbers imply — the paper's two
-// loss figures are mutually inconsistent (EXPERIMENTS.md).
-func Figure9() ([]SweepPoint, error) {
-	cfg, err := Figure9Config()
-	if err != nil {
-		return nil, err
-	}
-	return Sweep(cfg)
-}
-
 // Figure9Config returns the sweep configuration of Figure 9: 100-2000
-// clients at capacity 35 with the figure's own loss semantics.
+// clients at capacity 35 with all losses, comparing both scenarios as
+// the paper's final figure does. It uses the loss semantics Figure 9's
+// own numbers imply (core.Figure9Losses); Figure 8 uses the harsher
+// variant its numbers imply — the paper's two loss figures are mutually
+// inconsistent (EXPERIMENTS.md).
 func Figure9Config() (SweepConfig, error) {
 	svc, err := defaultService()
 	if err != nil {
@@ -532,9 +476,9 @@ func SweepSeries(points []SweepPoint) (edge, cloud, servers report.Series, err e
 	return
 }
 
-// CrossoverClients returns the client counts where the two scenarios'
+// crossoverClients returns the client counts where the two scenarios'
 // per-client energies cross in a sweep.
-func CrossoverClients(points []SweepPoint) ([]float64, error) {
+func crossoverClients(points []SweepPoint) ([]float64, error) {
 	x := make([]float64, len(points))
 	a := make([]float64, len(points))
 	b := make([]float64, len(points))

@@ -28,7 +28,7 @@ func TestTableI(t *testing.T) {
 		if !almostEq(float64(s.Cycle.EdgeEnergy()), want, 0.2) {
 			t.Errorf("%v total = %v, want %v", s.Spec.Model, s.Cycle.EdgeEnergy(), want)
 		}
-		rendered := RenderScenario(s).String()
+		rendered := renderScenario(s).String()
 		if !strings.Contains(rendered, "Sleep") || !strings.Contains(rendered, "Total") {
 			t.Errorf("rendered table missing rows:\n%s", rendered)
 		}
@@ -49,7 +49,7 @@ func TestTableII(t *testing.T) {
 			t.Errorf("%v cloud total = %v, want %v", s.Spec.Model,
 				s.Cycle.CloudEnergy(), cloudTotals[s.Spec.Model])
 		}
-		rendered := RenderScenario(s).String()
+		rendered := renderScenario(s).String()
 		if !strings.Contains(rendered, "Receive audio") {
 			t.Errorf("rendered Table II missing cloud column:\n%s", rendered)
 		}
@@ -57,7 +57,7 @@ func TestTableII(t *testing.T) {
 }
 
 func TestRoutineStatsCampaign(t *testing.T) {
-	st, err := RoutineStats(319)
+	st, err := RoutineStatsWorkers(319, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,17 @@ func TestFigure3(t *testing.T) {
 			t.Fatal("figure 3 not monotone decreasing")
 		}
 	}
-	s := Figure3Series()
-	if len(s.X) != 6 || s.X[0] != 5 {
-		t.Fatalf("figure 3 series = %+v", s)
+	out, err := figure3Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out.Text), "average power (W)") {
+		t.Fatalf("figure 3 report has no chart:\n%s", out.Text)
 	}
 }
 
 func TestFigure6(t *testing.T) {
-	pts, err := Figure6()
+	pts, err := sweepOf(Figure6Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestFigure6(t *testing.T) {
 }
 
 func TestFigure7Milestones(t *testing.T) {
-	pts, err := Figure7(35)
+	pts, err := sweepOf(Figure7Config(35))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestFigure7Milestones(t *testing.T) {
 func TestFigure7Capacity10NeverWins(t *testing.T) {
 	// Below the 26-client tipping point, the edge+cloud scenario can
 	// never beat the edge scenario.
-	pts, err := Figure7(10)
+	pts, err := sweepOf(Figure7Config(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +163,7 @@ func TestFigure7Capacity10NeverWins(t *testing.T) {
 func TestFigure8Variants(t *testing.T) {
 	floorA := 0.0
 	for _, v := range []LossVariant{LossA, LossB, LossC, LossAll} {
-		pts, err := Figure8(v)
+		pts, err := sweepOf(Figure8Config(v))
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -180,7 +183,7 @@ func TestFigure8Variants(t *testing.T) {
 		}
 	}
 	// Loss-C survival: fewer active than provisioned clients on average.
-	pts, err := Figure8(LossC)
+	pts, err := sweepOf(Figure8Config(LossC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,7 @@ func TestFigure8Variants(t *testing.T) {
 }
 
 func TestFigure9StillHasGreenIntervals(t *testing.T) {
-	pts, err := Figure9()
+	pts, err := sweepOf(Figure9Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +226,7 @@ func TestFigure9ThreeServerBand(t *testing.T) {
 	// be more energy-efficient than the edge scenario." Under a
 	// self-consistent loss model the win holds in the well-utilized part
 	// of the band (see EXPERIMENTS.md); the server count holds throughout.
-	pts, err := Figure9()
+	pts, err := sweepOf(Figure9Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +268,7 @@ func TestSweepValidation(t *testing.T) {
 }
 
 func TestSweepSeriesAndCrossovers(t *testing.T) {
-	pts, err := Figure7(35)
+	pts, err := sweepOf(Figure7Config(35))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func TestSweepSeriesAndCrossovers(t *testing.T) {
 	if len(edge.X) != len(pts) || len(cloud.X) != len(pts) || len(servers.X) != len(pts) {
 		t.Fatal("series length mismatch")
 	}
-	xs, err := CrossoverClients(pts)
+	xs, err := crossoverClients(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +326,7 @@ func TestFigure5SmallSweep(t *testing.T) {
 	if pts[1].FLOPs/pts[0].FLOPs < 3 {
 		t.Fatalf("FLOPs ratio %v, want ~4 (quadratic)", pts[1].FLOPs/pts[0].FLOPs)
 	}
-	acc, energy, err := Figure5Series(pts)
+	acc, energy, err := figure5Series(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,4 +371,12 @@ func TestSweepLedgerRecordsPerPoint(t *testing.T) {
 			t.Fatalf("entry %d joules = %v, want %v", i, e.Joules, want)
 		}
 	}
+}
+
+// sweepOf runs the sweep of a FigureNConfig result.
+func sweepOf(cfg SweepConfig, err error) ([]SweepPoint, error) {
+	if err != nil {
+		return nil, err
+	}
+	return Sweep(cfg)
 }

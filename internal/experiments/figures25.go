@@ -15,12 +15,6 @@ import (
 // Figure 2: the deployed-hive trace
 // ---------------------------------------------------------------------
 
-// Figure2 runs the week-long deployment simulation of Figure 2 (Cachan,
-// 10-minute wake-up period, night brownouts).
-func Figure2() (*deployment.Trace, error) {
-	return deployment.Run(deployment.DefaultConfig())
-}
-
 // Figure2Custom runs the deployment trace with a custom day count and
 // wake period (Figure 2a uses a week; shorter runs are handy for tests).
 func Figure2Custom(days int, wakePeriod time.Duration) (*deployment.Trace, error) {
@@ -108,8 +102,8 @@ func Figure5(cfg Figure5Config) ([]Figure5Point, error) {
 	return out, nil
 }
 
-// Figure5Series converts the sweep to accuracy and energy series.
-func Figure5Series(points []Figure5Point) (acc, energy report.Series, err error) {
+// figure5Series converts the sweep to accuracy and energy series.
+func figure5Series(points []Figure5Point) (acc, energy report.Series, err error) {
 	x := make([]float64, len(points))
 	ya := make([]float64, len(points))
 	ye := make([]float64, len(points))

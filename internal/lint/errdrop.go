@@ -6,7 +6,10 @@ package lint
 // missing its tail, an archive that silently lost records. Any call
 // into internal/ledger, internal/obs or internal/store whose error
 // result is discarded — a bare expression statement, an assignment to
-// blank, or a go/defer statement — is a finding. Genuine best-effort
+// blank, or a go/defer statement — is a finding. So is a discarded
+// Close on a file the same function opened for writing with os.Create
+// or os.OpenFile: Close is where a full disk or a failed flush shows
+// up, and `defer f.Close()` after a write loses it. Genuine best-effort
 // sites (error paths that already return a better error) carry
 // //beelint:allow errdrop <reason> like every other audited escape.
 
@@ -14,6 +17,59 @@ import (
 	"go/ast"
 	"go/types"
 )
+
+// createdFiles returns the variables of f assigned the *os.File result
+// of os.Create or os.OpenFile.
+func createdFiles(info *types.Info, f *ast.File) map[types.Object]bool {
+	files := map[types.Object]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		var lhs, rhs []ast.Expr
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			lhs, rhs = s.Lhs, s.Rhs
+		case *ast.ValueSpec:
+			for _, id := range s.Names {
+				lhs = append(lhs, id)
+			}
+			rhs = s.Values
+		default:
+			return true
+		}
+		if len(rhs) != 1 || len(lhs) == 0 {
+			return true
+		}
+		call, ok := rhs[0].(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn := staticCallee(info, call)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "os" ||
+			(fn.Name() != "Create" && fn.Name() != "OpenFile") {
+			return true
+		}
+		if id, ok := lhs[0].(*ast.Ident); ok {
+			if obj := info.ObjectOf(id); obj != nil {
+				files[obj] = true
+			}
+		}
+		return true
+	})
+	return files
+}
+
+// closesCreatedFile reports whether call is x.Close() on one of files,
+// returning the variable's name for the message.
+func closesCreatedFile(info *types.Info, files map[types.Object]bool, call *ast.CallExpr) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Close" || len(call.Args) != 0 {
+		return "", false
+	}
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	if !ok || !files[info.ObjectOf(id)] {
+		return "", false
+	}
+	return id.Name, true
+}
 
 // errDropPkgs are the write-path packages whose error results must not
 // be dropped.
@@ -59,10 +115,18 @@ func droppablePathErr(info *types.Info, call *ast.CallExpr) (string, bool) {
 
 var analyzerErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc:  "discarded errors on ledger/obs/store write paths",
+	Doc:  "discarded errors on ledger/obs/store write paths and written files' Close",
 	Run: func(p *Pass) {
 		info := p.Pkg.Info
+		var files map[types.Object]bool
 		report := func(call *ast.CallExpr, how string) {
+			if name, ok := closesCreatedFile(info, files, call); ok {
+				p.Reportf(call.Pos(),
+					"%s.Close on a file from os.Create/os.OpenFile returns an error that is %s; "+
+						"a failed flush would go unreported (return it, e.g. errors.Join(err, %s.Close()))",
+					name, how, name)
+				return
+			}
 			name, ok := droppablePathErr(info, call)
 			if !ok {
 				return
@@ -73,6 +137,9 @@ var analyzerErrDrop = &Analyzer{
 				name, how)
 		}
 		inspectFiles(p, func(n ast.Node) bool {
+			if f, ok := n.(*ast.File); ok {
+				files = createdFiles(info, f)
+			}
 			switch s := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := s.X.(*ast.CallExpr); ok {

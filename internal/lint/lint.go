@@ -23,7 +23,7 @@
 //	accumfloat    naive += Joules accumulation in loops
 //	sharedcapture parallel.Map task closures writing captured state
 //	exhaustive    non-exhaustive switches over local enum types
-//	errdrop       discarded errors on the ledger/store write path
+//	errdrop       discarded errors on the ledger/store write path and written files' Close
 //
 // On top of the per-package passes, RunModule's interprocedural pass
 // (interproc.go) builds a module-wide call graph and traces

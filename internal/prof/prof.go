@@ -47,8 +47,7 @@ func (p *Profiler) Start() error {
 		return err
 	}
 	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("prof: starting CPU profile: %w", err)
+		return errors.Join(fmt.Errorf("prof: starting CPU profile: %w", err), f.Close())
 	}
 	p.cpuFile = f
 	return nil

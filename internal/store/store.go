@@ -102,12 +102,10 @@ func Open(path string) (*Store, error) {
 	}
 	s := &Store{f: f, w: f, index: map[string][]Record{}}
 	if err := s.reindex(); err != nil {
-		f.Close()
-		return nil, err
+		return nil, errors.Join(err, f.Close())
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
+		return nil, errors.Join(err, f.Close())
 	}
 	return s, nil
 }
