@@ -60,9 +60,11 @@ race:
 		./internal/loadgen/...
 
 # End-to-end smoke of the -workers plumbing: a multi-worker scenario
-# run must complete and pass its own conservation audit.
+# run must complete and pass its own conservation audit. The ledger is
+# scratch; the trap removes it whether the run passes or fails.
 smoke:
-	$(GO) run ./cmd/beesim scenario -workers 4 -ledger $$(mktemp -t beesim-smoke-XXXXXX.jsonl)
+	@tmp=$$(mktemp -t beesim-smoke-XXXXXX.jsonl) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/beesim scenario -workers 4 -ledger "$$tmp"
 
 # Chaos gate: the fault-injection soak (loss rates 0-100%, no panics,
 # no stuck DES, monotone delivered-count) plus a fuzz smoke over the

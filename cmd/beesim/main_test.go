@@ -110,3 +110,33 @@ func TestScenarioLedgerAudits(t *testing.T) {
 		t.Fatalf("audit: %s", rep.String())
 	}
 }
+
+// TestTraceSLODocumented runs the hive-trace SLO command line that
+// docs/OBSERVABILITY.md shows, so the documented invocation keeps
+// working: a trace under a link fault plan evaluates the checked-in
+// upload SLO instead of failing on a missing histogram.
+func TestTraceSLODocumented(t *testing.T) {
+	const cmdline = "beesim trace -days 7 -faults examples/link_faults.json -slo examples/slo_upload.json"
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(doc), cmdline) {
+		t.Fatalf("docs/OBSERVABILITY.md no longer shows %q", cmdline)
+	}
+	args := strings.Fields(cmdline)[1:]
+	for i, a := range args {
+		if strings.HasPrefix(a, "examples/") {
+			args[i] = "../../" + a
+		}
+	}
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("%s: %v\n%s", cmdline, err, out.String())
+	}
+	for _, want := range []string{"PASS  p50 upload latency", "PASS  p99 upload latency", "PASS  upload delivery"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("%s: output lacks %q:\n%s", cmdline, want, out.String())
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -107,13 +106,9 @@ type attemptItem struct {
 	attempt int // 1-based
 }
 
-// attemptQueue is a min-heap ordered by (at, hive, wake, attempt) — a
-// total order, so simultaneous retries pop identically everywhere.
-type attemptQueue []attemptItem
-
-func (q attemptQueue) Len() int { return len(q) }
-func (q attemptQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
+// before orders attempts by (at, hive, wake, attempt) — a total order,
+// so simultaneous attempts pop identically everywhere.
+func (a attemptItem) before(b attemptItem) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -125,14 +120,51 @@ func (q attemptQueue) Less(i, j int) bool {
 	}
 	return a.attempt < b.attempt
 }
-func (q attemptQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *attemptQueue) Push(x any)   { *q = append(*q, x.(attemptItem)) }
-func (q *attemptQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+// retryHeap is a binary min-heap of retry attempts under before.
+type retryHeap []attemptItem
+
+func (h *retryHeap) push(it attemptItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = it
+	*h = q
+}
+
+func (h *retryHeap) pop() attemptItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].before(q[c]) {
+				c++
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // shardResult is one shard's tallies and metric samples. Simulate
@@ -141,11 +173,21 @@ func (q *attemptQueue) Pop() any {
 type shardResult struct {
 	delivered, rejected, droppedLink, lost, offered, attempts, shed int
 	edgeJ, serverJ                                                  float64
-	// latency holds each delivered episode's wake-to-delivery seconds,
-	// perEpisode each episode's attempt count, and depth the inflight
-	// count each attempt reaching the server found.
-	latency, perEpisode, depth []float64
-	entries                    []ledger.Entry
+	// latency holds each delivered episode's wake-to-delivery seconds.
+	latency []float64
+	// perEpisode[k] counts the episodes that took k attempts, and
+	// depth[k] the attempts reaching the server that found k inflight.
+	perEpisode, depth []uint64
+	entries           []ledger.Entry
+}
+
+// tally counts one more sample of the small integer k in t.
+func tally(t []uint64, k int) []uint64 {
+	for len(t) <= k {
+		t = append(t, 0)
+	}
+	t[k]++
+	return t
 }
 
 // simShard replays one shard's upload episodes through an M/G/c-style
@@ -163,23 +205,42 @@ func simShard(spec LoadSpec, evs []Event, scale float64, inj *faults.Injector,
 	budget := spec.Server.MaxInflight
 
 	var edge, server stats.Kahan
-
-	q := make(attemptQueue, 0, len(evs))
-	for _, ev := range evs {
-		at := time.Duration(float64(ev.At) / scale)
-		q = append(q, attemptItem{at: at, wakeAt: at, hive: ev.Hive, wake: ev.Wake, attempt: 1})
+	res.latency = make([]float64, 0, len(evs))
+	res.perEpisode = make([]uint64, max(policy.MaxAttempts, 1)+1)
+	res.depth = make([]uint64, max(budget, 0)+1)
+	if needEntries {
+		res.entries = make([]ledger.Entry, 0, 2*len(evs))
 	}
-	heap.Init(&q)
+
+	// Attempts pop from two streams: first attempts from evs, already
+	// sorted because the schedule is, and retries from a heap. Each pop
+	// takes the smaller head under the one total order, so the merge
+	// pops exactly the sequence one heap over all attempts would.
+	first := func(ev Event) attemptItem {
+		at := time.Duration(float64(ev.At) / scale)
+		return attemptItem{at: at, wakeAt: at, hive: ev.Hive, wake: ev.Wake, attempt: 1}
+	}
+	// Scaling can merge distinct instants into one; those new ties
+	// must break by hive.
+	for i := 1; i < len(evs); i++ {
+		if first(evs[i]).before(first(evs[i-1])) {
+			evs = append([]Event(nil), evs...)
+			sort.Slice(evs, func(a, b int) bool { return first(evs[a]).before(first(evs[b])) })
+			break
+		}
+	}
+	var retries retryHeap
 
 	// busy[head:] holds the inflight completion instants, earliest
 	// first: attempts pop in time order and the service time is
 	// constant, so completions arrive in the order they were admitted.
-	var busy []time.Duration
+	// Admission keeps at most budget of them inflight.
+	busy := make([]time.Duration, 0, max(budget, 0))
 	head := 0
 	// The attempt count is carried in each item, so the final
 	// attempt's value is the episode's total.
 	finish := func(it attemptItem, deliveredAt time.Duration, ok bool) {
-		res.perEpisode = append(res.perEpisode, float64(it.attempt))
+		res.perEpisode = tally(res.perEpisode, it.attempt)
 		edge.Add(float64(it.attempt) * float64(send.Energy))
 		if ok {
 			res.delivered++
@@ -214,15 +275,23 @@ func simShard(spec LoadSpec, evs []Event, scale float64, inj *faults.Injector,
 		if inj != nil {
 			u = inj.JitterU(CampaignStart.Add(now), it.attempt)
 		}
-		next := it
-		next.attempt++
-		next.at = now + extra + policy.Backoff(it.attempt, u)
-		heap.Push(&q, next)
+		again := it
+		again.attempt++
+		again.at = now + extra + policy.Backoff(it.attempt, u)
+		retries.push(again)
 		return true
 	}
 
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(attemptItem)
+	for next := 0; next < len(evs) || len(retries) > 0; {
+		var it attemptItem
+		if next < len(evs) {
+			it = first(evs[next])
+		}
+		if len(retries) > 0 && (next == len(evs) || retries[0].before(it)) {
+			it = retries.pop()
+		} else {
+			next++
+		}
 		now := it.at
 		for head < len(busy) && busy[head] <= now {
 			head++
@@ -237,7 +306,7 @@ func simShard(spec LoadSpec, evs []Event, scale float64, inj *faults.Injector,
 			continue
 		}
 		inflight := len(busy) - head
-		res.depth = append(res.depth, float64(inflight))
+		res.depth = tally(res.depth, inflight)
 		if budget > 0 && inflight >= budget {
 			res.rejected++
 			if !retry(it, now, 0) {
@@ -282,20 +351,34 @@ func Simulate(spec LoadSpec, evs []Event, opt SimOptions) (SimResult, error) {
 	}
 	policy := spec.RetryPolicy()
 
-	shardEvs := make([][]Event, opt.Servers)
+	// Split the uploads by shard into one array, schedule order kept:
+	// count each shard's uploads, then place them. Shard s owns
+	// uploads[start[s]:start[s+1]].
+	start := make([]int, opt.Servers+1)
 	reads := 0
 	for _, ev := range evs {
 		switch ev.Kind {
 		case EventUpload:
-			s := ev.Hive % opt.Servers
-			shardEvs[s] = append(shardEvs[s], ev)
+			start[ev.Hive%opt.Servers+1]++
 		case EventRead:
 			reads++
 		}
 	}
+	for s := 1; s <= opt.Servers; s++ {
+		start[s] += start[s-1]
+	}
+	uploads := make([]Event, start[opt.Servers])
+	fill := append([]int(nil), start[:opt.Servers]...)
+	for _, ev := range evs {
+		if ev.Kind == EventUpload {
+			s := ev.Hive % opt.Servers
+			uploads[fill[s]] = ev
+			fill[s]++
+		}
+	}
 
 	shards, err := parallel.Map(opt.Workers, opt.Servers, func(s int) (shardResult, error) {
-		return simShard(spec, shardEvs[s], scale, inj, policy, opt.NeedEntries), nil
+		return simShard(spec, uploads[start[s]:start[s+1]], scale, inj, policy, opt.NeedEntries), nil
 	})
 	if err != nil {
 		return SimResult{}, err
@@ -311,13 +394,14 @@ func Simulate(spec LoadSpec, evs []Event, opt SimOptions) (SimResult, error) {
 	hLatency := out.Registry.Histogram(netsim.MetricUploadSeconds)
 	hDepth := out.Registry.Histogram(hivenet.MetricQueueDepth)
 	hAttempts := out.Registry.Histogram(netsim.MetricAttemptsPerUpload)
-	observe := func(h *obs.Histogram, vs []float64) {
-		for _, v := range vs {
-			h.Observe(v)
-		}
-	}
 	var edge, server stats.Kahan
-	attempts := 0
+	attempts, entries := 0, 0
+	for _, sh := range shards {
+		entries += len(sh.entries)
+	}
+	if entries > 0 {
+		out.Entries = make([]ledger.Entry, 0, entries)
+	}
 	for _, sh := range shards {
 		out.Offered += sh.offered
 		out.Delivered += sh.delivered
@@ -328,9 +412,17 @@ func Simulate(spec LoadSpec, evs []Event, opt SimOptions) (SimResult, error) {
 		attempts += sh.attempts
 		edge.Add(sh.edgeJ)
 		server.Add(sh.serverJ)
-		observe(hLatency, sh.latency)
-		observe(hAttempts, sh.perEpisode)
-		observe(hDepth, sh.depth)
+		for _, v := range sh.latency {
+			hLatency.Observe(v)
+		}
+		// Tallied samples are small integers, so every partial sum is
+		// exact and observing them by value keeps the sum's bits.
+		for k, n := range sh.perEpisode {
+			hAttempts.ObserveN(float64(k), n)
+		}
+		for k, n := range sh.depth {
+			hDepth.ObserveN(float64(k), n)
+		}
 		out.Entries = append(out.Entries, sh.entries...)
 	}
 	out.EdgeJ = edge.Sum()

@@ -35,6 +35,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
+	h.ObserveN(1, 2)
 	h.Merge(nil)
 	r.Merge(NewRegistry())
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -187,6 +188,39 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 	if got := h.Quantile(1); got != float64(n) {
 		t.Fatalf("p100 = %v, want %d", got, n)
+	}
+}
+
+// TestHistogramObserveNMatchesObserve observes integer samples n at a
+// time and one by one, onto histograms that already hold a sample. The
+// snapshots must match byte for byte, sum bits included.
+func TestHistogramObserveNMatchesObserve(t *testing.T) {
+	ints := []struct {
+		v float64
+		n uint64
+	}{{0, 5}, {1, 3}, {4, 0}, {2, 7}, {-1, 2}, {37, 1}, {math.NaN(), 3}, {math.Inf(-1), 2}}
+	one, batch := NewRegistry(), NewRegistry()
+	for _, r := range []*Registry{one, batch} {
+		r.Histogram("n").Observe(0.5)
+	}
+	for _, s := range ints {
+		for i := uint64(0); i < s.n; i++ {
+			one.Histogram("n").Observe(s.v)
+		}
+		batch.Histogram("n").ObserveN(s.v, s.n)
+	}
+	var a, b bytes.Buffer
+	if err := one.Snapshot().WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.Snapshot().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("ObserveN snapshot differs:\n%s\none by one:\n%s", b.String(), a.String())
+	}
+	if x, y := one.Histogram("n").Sum(), batch.Histogram("n").Sum(); math.Float64bits(x) != math.Float64bits(y) {
+		t.Fatalf("sum bits %x, one by one %x", math.Float64bits(y), math.Float64bits(x))
 	}
 }
 

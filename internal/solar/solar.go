@@ -81,6 +81,11 @@ func clearSkyIrradiance(loc Location, t time.Time) units.WattsPerSquareMeter {
 func Irradiance(loc Location, t time.Time, cloudCover float64) units.WattsPerSquareMeter {
 	cover := clamp(cloudCover, 0, 1)
 	clear := clearSkyIrradiance(loc, t)
+	// At night there is nothing to attenuate: the product below is +0
+	// for any cover in [0,1], and NaN only for a NaN cover.
+	if clear == 0 && !math.IsNaN(cover) {
+		return 0
+	}
 	return units.WattsPerSquareMeter(float64(clear) * (1 - 0.75*math.Pow(cover, 3.4)))
 }
 

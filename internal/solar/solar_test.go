@@ -92,6 +92,23 @@ func TestCloudAttenuation(t *testing.T) {
 	}
 }
 
+// TestIrradianceNightShortcut compares Irradiance bit for bit with the
+// full attenuation formula at a day and a night tick, for covers in
+// range, out of range and NaN.
+func TestIrradianceNightShortcut(t *testing.T) {
+	for _, tick := range []time.Time{noon, midnight} {
+		for _, cover := range []float64{0, 0.3, 1, -1, 2, math.NaN()} {
+			clear := float64(clearSkyIrradiance(Cachan, tick))
+			want := clear * (1 - 0.75*math.Pow(clamp(cover, 0, 1), 3.4))
+			got := float64(Irradiance(Cachan, tick, cover))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v cover %v: irradiance %v (%x), formula %v (%x)",
+					tick, cover, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestPanelOutput(t *testing.T) {
 	p := DefaultPanel()
 	out, ok := p.Output(1000)
